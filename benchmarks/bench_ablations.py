@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices README.md § Performance names.
 
 Not paper figures — these quantify why the implementation is built the
 way it is:

@@ -3,7 +3,7 @@
 Training models is the expensive step, so a session-scoped store
 collects data and trains the per-benchmark model families exactly once;
 every bench (Table III, Figs. 5-9) reuses them.  Run with ``-s`` to see
-the regenerated tables/series; EXPERIMENTS.md records reference output.
+the regenerated tables/series (README.md § Substitutions gives their scale).
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from repro.apps.harness import AppHarness, harness_for
 from repro.nn import Trainer
 
 #: Benchmark-scale harness parameters (scaled from the paper's A100
-#: datasets to laptop scale; DESIGN.md §2 records the substitution).
+#: datasets to laptop scale; README.md § Substitutions records the
+#: substitution).
 HARNESS_PARAMS = {
     "minibude": dict(n_train=4096, n_test=768),
     "binomial": dict(n_train=3072, n_test=768, n_steps=96),

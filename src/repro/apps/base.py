@@ -4,7 +4,7 @@ Every app exposes the same surface so the search/benchmark harness can
 drive them uniformly:
 
 * ``generate_workload(scale, seed)`` — synthetic stand-in for the
-  paper's datasets (DESIGN.md §2 records the substitution);
+  paper's datasets (README.md § Substitutions);
 * ``run_accurate(workload)`` — the original algorithm, returning the
   QoI;
 * ``build_region(...)`` — the HPAC-ML-annotated entry point;

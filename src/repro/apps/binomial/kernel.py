@@ -24,9 +24,10 @@ def generate_options(n_options: int, seed: int = 0,
                      call: bool = True) -> np.ndarray:
     """Synthesize a portfolio with realistic parameter ranges.
 
-    Stands in for the paper's 16M-option dataset (DESIGN.md §2): spot
-    5-30, strike 1-100, expiry 0.25-10y, rate 2-10 %, vol 10-60 % — the
-    classic ranges of the CUDA SDK sample this benchmark derives from.
+    Stands in for the paper's 16M-option dataset (README.md §
+    Substitutions): spot 5-30, strike 1-100, expiry 0.25-10y, rate
+    2-10 %, vol 10-60 % — the classic ranges of the CUDA SDK sample
+    this benchmark derives from.
     """
     rng = np.random.default_rng(seed)
     s = rng.uniform(5.0, 30.0, n_options)

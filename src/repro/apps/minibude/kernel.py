@@ -52,7 +52,7 @@ def generate_deck(n_protein: int = 64, n_ligand: int = 16,
 
     The protein atoms form a rough spherical shell (a binding pocket);
     the ligand is a compact cluster at the origin.  Stands in for the
-    paper's 16M-pose BUDE deck (DESIGN.md §2).
+    paper's 16M-pose BUDE deck (README.md § Substitutions).
     """
     rng = np.random.default_rng(seed)
     # Pocket: atoms on a shell of radius ~8 Å with jitter.

@@ -20,6 +20,7 @@ Composition (concatenating RHS views into the LHS tensor) lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,20 +64,29 @@ class SliceView:
     """One RHS slice wrapped over application memory.
 
     ``view`` has shape ``sweep_shape + window_shape``; it aliases the
-    target array (no copy).  ``window_shape`` flattens to the slice's
-    feature contribution.
+    target array (no copy) at byte ``offset`` into its buffer.
+    ``window_shape`` flattens to the slice's feature contribution.
     """
 
     view: np.ndarray
     sweep_dims: int
     window_shape: tuple
+    offset: int = 0
 
     @property
     def feature_count(self) -> int:
-        n = 1
-        for w in self.window_shape:
-            n *= w
-        return n
+        return math.prod(self.window_shape)
+
+    def rebind(self, array: np.ndarray,
+               writable: bool = False) -> "SliceView":
+        """The same view over ``array``, a buffer of identical layout
+        (shape, strides, dtype), which fixes offset, strides and bounds."""
+        view = np.ndarray(self.view.shape, self.view.dtype, buffer=array,
+                          offset=self.offset, strides=self.view.strides)
+        if not writable:
+            view.flags.writeable = False
+        return SliceView(view, self.sweep_dims, self.window_shape,
+                         self.offset)
 
 
 def _eval_at_minimum(form: LinearForm, bindings: dict) -> int:
@@ -168,4 +178,4 @@ def wrap_slice(array: np.ndarray, analyzed: AnalyzedSlice,
     if not writable:
         view.flags.writeable = False
     return SliceView(view=view, sweep_dims=len(symbols),
-                     window_shape=tuple(window_shape))
+                     window_shape=tuple(window_shape), offset=offset)

@@ -13,6 +13,7 @@ the same (writable) views without composition, exactly as §IV-A notes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,28 +108,14 @@ class ConcretizedMap:
         self.ranges = list(ranges)
         self.writable = writable
         self._views: list[SliceView] | None = None
-
-    # -- shapes -----------------------------------------------------------
-    @property
-    def sweep_shape(self) -> tuple:
-        return sweep_shape(self.ranges)
-
-    @property
-    def entry_count(self) -> int:
-        n = 1
-        for s in self.sweep_shape:
-            n *= s
-        return n
-
-    @property
-    def tensor_shape(self) -> tuple:
-        """Shape of the composed LHS tensor: sweep dims + feature dims."""
-        return self.sweep_shape + self.functor.feature_shape
-
-    @property
-    def flat_shape(self) -> tuple:
-        """Model-facing layout: (batch, *features)."""
-        return (self.entry_count,) + self.functor.feature_shape
+        # The ranges are fixed for the map's lifetime, so its shapes are
+        # computed once rather than on every gather/scatter.
+        self.sweep_shape: tuple = sweep_shape(self.ranges)
+        self.entry_count: int = math.prod(self.sweep_shape)
+        #: Shape of the composed LHS tensor: sweep dims + feature dims.
+        self.tensor_shape: tuple = self.sweep_shape + functor.feature_shape
+        #: Model-facing layout: (batch, *features).
+        self.flat_shape: tuple = (self.entry_count,) + functor.feature_shape
 
     # -- wrapping -----------------------------------------------------------
     def views(self) -> list[SliceView]:
@@ -142,6 +129,21 @@ class ConcretizedMap:
             ]
         return self._views
 
+    def rebind(self, array: np.ndarray) -> "ConcretizedMap":
+        """A new map over ``array``, which has this map's buffer layout.
+
+        Bounds were checked when the views were first wrapped; a map
+        already handed out (a deferred batched scatter) keeps its buffer.
+        """
+        if not array.flags.c_contiguous:
+            raise BridgeError("target array must be C-contiguous")
+        views = [sv.rebind(array, self.writable) for sv in self.views()]
+        cm = object.__new__(ConcretizedMap)
+        cm.__dict__.update(self.__dict__)
+        cm.array = array
+        cm._views = views
+        return cm
+
     # -- to-direction ----------------------------------------------------------
     def gather(self, flatten_batch: bool = False) -> np.ndarray:
         """Compose the LHS tensor from the RHS views (the one copy).
@@ -149,12 +151,9 @@ class ConcretizedMap:
         With ``flatten_batch`` the sweep dims collapse into a single
         batch axis — the layout inference engines consume.
         """
-        views = self.views()
         sweep = self.sweep_shape
-        parts = []
-        for sv in views:
-            flat = sv.view.reshape(sweep + (sv.feature_count,))
-            parts.append(flat)
+        parts = [sv.view.reshape(sweep + (sv.feature_count,))
+                 for sv in self.views()]
         if len(parts) == 1:
             composed = np.ascontiguousarray(parts[0])
         else:
@@ -177,14 +176,12 @@ class ConcretizedMap:
         tensor = np.asarray(tensor)
         sweep = self.sweep_shape
         total = self.functor.total_features
-        if tensor.shape == self.tensor_shape or tensor.shape == self.flat_shape:
-            flat = tensor.reshape(sweep + (total,))
-        elif tensor.shape == (self.entry_count, total):
-            flat = tensor.reshape(sweep + (total,))
-        else:
+        if tensor.shape not in (self.tensor_shape, self.flat_shape,
+                                (self.entry_count, total)):
             raise BridgeError(
                 f"scatter tensor shape {tensor.shape} matches neither LHS "
                 f"shape {self.tensor_shape} nor batch shape {self.flat_shape}")
+        flat = tensor.reshape(sweep + (total,))
         offset = 0
         for sv in self.views():
             width = sv.feature_count

@@ -1,4 +1,7 @@
-"""``repro.device`` — simulated accelerator (DESIGN.md §2, GPU substitution)."""
+"""``repro.device`` — simulated accelerator (the GPU substitution).
+
+README.md § Substitutions describes it.
+"""
 
 from .clock import VirtualClock
 from .memory import MemorySpace, DeviceBuffer, WrongSpaceError

@@ -46,7 +46,8 @@ class Device:
     vs the model's 47.2% / 31.5%).  Host NumPy has no such gap — both
     sides run at similar efficiency — so the simulator scales *measured*
     dense-op wall time by this factor to recover the device's relative
-    economics.  Calibration is documented in DESIGN.md §2.
+    economics.  README.md § Substitutions documents the
+    calibration.
     """
 
     def __init__(self, transfer_model: TransferModel | None = None,

@@ -1,7 +1,7 @@
 """``repro.h5`` — hierarchical binary datastore (the "HDF5" substrate).
 
 Provides the group/dataset container the HPAC-ML data-collection path
-writes training databases into (DESIGN.md §2).
+writes training databases into (README.md § Substitutions).
 """
 
 from .file import File, Group, Dataset

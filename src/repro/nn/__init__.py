@@ -1,7 +1,8 @@
 """``repro.nn`` — NumPy tensor/autograd framework (the "Torch" substrate).
 
 Provides the inference engine and training stack the HPAC-ML runtime
-delegates to.  See DESIGN.md §2 for the Torch → repro.nn substitution.
+delegates to.  See README.md § Substitutions for the Torch → repro.nn
+substitution.
 """
 
 from .tensor import Tensor, no_grad, is_grad_enabled, unbroadcast

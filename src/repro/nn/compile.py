@@ -48,7 +48,7 @@ class CompiledPlan:
 
     __slots__ = ("_steps", "_fns", "_watch", "_struct_watch", "_keys",
                  "n_layers", "n_fused", "summary", "fingerprint", "dtype",
-                 "_cast")
+                 "dtype_name", "_cast")
 
     def __init__(self, steps, watch, struct_watch, n_layers, n_fused,
                  summary, fingerprint, dtype=np.float64):
@@ -69,6 +69,8 @@ class CompiledPlan:
         self.fingerprint = fingerprint
         #: Execution dtype of the plan's constants and scratch.
         self.dtype = np.dtype(dtype)
+        #: ``dtype.name``, stored: the numpy property is slow per call.
+        self.dtype_name = self.dtype.name
         # Narrowed plans cast the input once at entry; the float64
         # default keeps the historical float16-only coercion verbatim.
         self._cast = None if self.dtype == np.float64 else self.dtype

@@ -1,4 +1,4 @@
-"""Parameter initializers (Kaiming / Xavier families)."""
+"""Parameter initializers (Kaiming family)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "xavier_uniform", "zeros", "uniform_bias"]
+__all__ = ["kaiming_uniform", "zeros", "uniform_bias"]
 
 
 def kaiming_uniform(shape: tuple, fan_in: int, rng: np.random.Generator,
@@ -14,12 +14,6 @@ def kaiming_uniform(shape: tuple, fan_in: int, rng: np.random.Generator,
     """Kaiming-uniform init as used by Torch's Linear/Conv default."""
     gain = math.sqrt(2.0 / (1.0 + a * a))
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(shape: tuple, fan_in: int, fan_out: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -2224,9 +2224,6 @@ class FleetPlan:
         return any(getattr(holder, attr) is not arr
                    for holder, attr, arr in self._watch[k])
 
-    def stale_members(self) -> list:
-        return [k for k in range(self.k) if self.member_stale(k)]
-
     def replace_member(self, k: int, model) -> None:
         """Hot-swap member ``k`` to ``model`` (same fleet fingerprint):
         rebinds the step layer slots and copies exactly one slab row."""
@@ -2261,9 +2258,6 @@ class FleetPlan:
         for step in self._steps:
             h = step.forward(h, n)
         return h
-
-    def member_outputs(self, outputs, k: int) -> np.ndarray:
-        return outputs[k]
 
     def __repr__(self):
         return (f"FleetPlan(k={self.k}, steps={len(self._steps)}, "

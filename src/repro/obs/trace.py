@@ -122,10 +122,6 @@ class Tracer:
         self._sources: list = []                # weakref.ref -> source
         self.enabled = True
 
-    def next_id(self) -> int:
-        """Allocate a trace id (monotone across the process)."""
-        return next(self._ids)
-
     @property
     def seen(self) -> int:
         """Total traces recorded *into the ring* (survives eviction);

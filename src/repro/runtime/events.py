@@ -62,6 +62,11 @@ class Phase(Enum):
     SHADOW = "shadow"
 
 
+#: One record slot per phase: the ring holds up to ``capacity`` records,
+#: and a per-record dict of phase times would double each one's size.
+_PHASE_SLOTS = {phase: "_" + phase.value for phase in Phase}
+
+
 class InvocationRecord:
     """Timing of a single region invocation, seconds per phase.
 
@@ -71,18 +76,28 @@ class InvocationRecord:
     code that only times phases.
     """
 
-    __slots__ = ("path", "region", "times", "notes", "finished")
+    __slots__ = ("path", "region", "notes", "finished") + \
+        tuple(_PHASE_SLOTS.values())
 
-    def __init__(self, path: str, times: dict | None = None,
-                 region: str | None = None):
+    def __init__(self, path: str, region: str | None = None):
         self.path = path
         self.region = region
-        self.times: dict = times if times is not None else {}
         self.notes: dict | None = None
         self.finished = False
 
     def add(self, phase: Phase, seconds: float) -> None:
-        self.times[phase] = self.times.get(phase, 0.0) + seconds
+        slot = _PHASE_SLOTS[phase]
+        setattr(self, slot, getattr(self, slot, 0.0) + seconds)
+
+    @property
+    def times(self) -> dict:
+        """Seconds per recorded phase, in ``Phase`` order (a new dict)."""
+        times = {}
+        for phase, slot in _PHASE_SLOTS.items():
+            seconds = getattr(self, slot, None)
+            if seconds is not None:
+                times[phase] = seconds
+        return times
 
     def note(self, key: str, value) -> None:
         """Attach one piece of decision context (trace/stream fan-out)."""
@@ -257,9 +272,9 @@ class EventLog:
         """Tracer-source hook: recent invocations as compact entries.
 
         Trace ids are the records' absolute invocation indices (stable
-        across eviction, monotone per log).  Phase timings and notes go
-        by reference — finished records no longer mutate, so the view
-        is stable; unfinished tail records are skipped.
+        across eviction, monotone per log).  Notes go by reference —
+        finished records no longer mutate, so the view is stable;
+        unfinished tail records are skipped.
         """
         records = self.records[-limit:] if limit else self.records[:]
         base = self.seen - len(records)

@@ -97,10 +97,6 @@ class FleetInferenceEngine:
         self._built = False
         return member
 
-    def remove_member(self, name: str) -> None:
-        del self._members[name]
-        self._built = False
-
     @property
     def names(self) -> tuple:
         return tuple(self._members)

@@ -17,12 +17,15 @@ graph path under ``no_grad``.
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 import weakref
 from pathlib import Path
 
 import numpy as np
 
-from ..device import Device
+from ..device import Device, DeviceBuffer, MemorySpace
 from ..nn import load_model, no_grad
 from ..nn.compile import UnsupportedLayerError, compile_inference
 from ..nn.layers import Module
@@ -33,22 +36,37 @@ __all__ = ["InferenceEngine", "ModelCache"]
 
 
 class ModelCache:
-    """Path-keyed cache of deserialized models (one load per path)."""
+    """Path-keyed cache of deserialized models (one load per path).
+
+    Each raw path is resolved once (:meth:`key`), a relative one once
+    per working directory, so a hit costs a dict lookup, not ``lstat``s.
+    """
 
     def __init__(self):
         self._models: dict[str, Module] = {}
+        self._keys: dict = {}        # raw path (+ cwd if relative) -> key
+        #: Held by :func:`~repro.serving.hot_swap_model` for the whole
+        #: swap: inference threads then wait here instead of starving
+        #: the swapping thread of the GIL.
+        self.lock = threading.RLock()
+
+    def key(self, path) -> str:
+        """The resolved path ``path`` is cached under (memoized)."""
+        raw = os.fspath(path)
+        memo = raw if os.path.isabs(raw) else (os.getcwd(), raw)
+        key = self._keys.get(memo)
+        if key is None:
+            key = self._keys[memo] = str(Path(raw).resolve())
+        return key
 
     def get(self, path) -> Module:
-        key = str(Path(path).resolve())
-        model = self._models.get(key)
-        if model is None:
-            model = load_model(path)
-            self._models[key] = model
-        return model
-
-    def put(self, path, model: Module) -> None:
-        """Pre-seed the cache (used by in-memory search pipelines)."""
-        self._models[str(Path(path).resolve())] = model
+        with self.lock:
+            # An absolute str path is its own memo key: one dict lookup.
+            key = self._keys.get(path) or self.key(path)
+            model = self._models.get(key)
+            if model is None:
+                model = self._models[key] = load_model(path)
+            return model
 
     def invalidate(self, path) -> bool:
         """Drop one path's cached model so the next ``get`` reloads it.
@@ -59,10 +77,11 @@ class ModelCache:
         inference — no restart, no full cache clear.  Returns whether
         an entry was dropped.
         """
-        return self._models.pop(str(Path(path).resolve()), None) is not None
+        return self._models.pop(self.key(path), None) is not None
 
     def clear(self) -> None:
         self._models.clear()
+        self._keys.clear()
 
     def __len__(self):
         return len(self._models)
@@ -177,8 +196,6 @@ class InferenceEngine:
 
     def infer_with_model(self, model: Module, inputs: np.ndarray,
                          dtype=None) -> np.ndarray:
-        import time
-
         sim_before = self.device.clock.simulated
         dev_in = self.device.to_device(inputs)
         plan = self.plan_for(model,
@@ -194,7 +211,6 @@ class InferenceEngine:
         forward_wall = time.perf_counter() - start
         self.device.kernel_launches += 1
 
-        from ..device.memory import DeviceBuffer, MemorySpace
         dev_out = DeviceBuffer(out, MemorySpace.DEVICE)
         result = self.device.to_host(dev_out)
         self.last_timing = {
@@ -202,7 +218,7 @@ class InferenceEngine:
             "forward_device": self.device.dense_time(forward_wall),
             "transfer_sim": self.device.clock.simulated - sim_before,
             "compiled": plan is not None,
-            "dtype": plan.dtype.name if plan is not None else "float64",
+            "dtype": plan.dtype_name if plan is not None else "float64",
         }
         # SURROGATE fault seam: with an active FaultInjector this forward
         # may raise or hand back NaN/Inf/garbage outputs, exactly like a
@@ -223,7 +239,6 @@ class InferenceEngine:
         surface for ``repro stats`` — slower than :meth:`infer`, and
         it bypasses the transfer simulation and fault seams.
         """
-        import time
         model = self.cache.get(model_path)
         plan = self.plan_for(model)
         x = np.asarray(inputs)

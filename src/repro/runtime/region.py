@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import inspect
 import threading
-import weakref
+from time import perf_counter
 
 import numpy as np
 
@@ -203,7 +203,7 @@ class ApproxRegion:
         """Integer argument names the maps depend on, computed once.
 
         The per-call concretization cache is keyed only on these (plus
-        array identity/shape), so unrelated arguments — mode flags,
+        the array layout), so unrelated arguments — mode flags,
         step counters driving ``if`` clauses — no longer churn the key.
         """
         names: set = set()
@@ -300,12 +300,16 @@ class ApproxRegion:
         """Concretize map targets, reusing descriptors across invocations.
 
         The paper's runtime allocates the slice descriptors once and
-        re-fills them per call; iterative applications (MiniWeather's
-        timestep fires thousands of times on the same buffers) would
-        otherwise pay symbolic resolution and view construction on the
-        hot path.  Cached entries are keyed on the exact array object
-        (via weakref), its shape, and the integer environment, so any
-        change re-concretizes.
+        re-fills them per call.  Here the descriptor cache is keyed on
+        the argument's *layout* — map, direction, shape, strides, dtype
+        and the integer variables the maps read — not on the array
+        object.  A call on the same array object is a zero-work hit; a
+        call on another buffer of a cached layout (an application
+        passing a fresh row view per call) rebinds the cached map's
+        views to that buffer from their stored offsets and strides
+        (:meth:`~repro.bridge.ConcretizedMap.rebind`).  Symbolic
+        resolution and bounds checking run once per layout; the
+        C-contiguity check runs on every rebind.
         """
         # Only the integer variables the maps actually reference
         # (precomputed at construction) participate in the cache key.
@@ -315,8 +319,9 @@ class ApproxRegion:
             key_parts.append(int(value)
                              if isinstance(value, (int, np.integer)) else None)
         env_key = tuple(key_parts)
+        cache = self._map_cache
         out = []
-        for idx, m in enumerate(maps):
+        for m in maps:
             array = env.get(m.array_name)
             if array is None:
                 raise BridgeError(
@@ -326,34 +331,33 @@ class ApproxRegion:
                 raise BridgeError(
                     f"region {self.name!r}: argument {m.array_name!r} is "
                     f"{type(array).__name__}, expected ndarray")
-            key = (writable, m.array_name, idx, id(array), array.shape,
+            key = (m, writable, array.shape, array.strides, array.dtype,
                    env_key)
-            cached = self._map_cache.get(key)
-            if cached is not None:
-                ref, cm = cached
-                if ref() is array:
-                    # LRU touch: move the hit to the recent end so a
-                    # storm of cold keys evicts other cold keys, not
-                    # the hot working set.
-                    self._map_cache.pop(key)
-                    self._map_cache[key] = cached
-                    out.append(cm)
-                    continue
-            ranges = evaluate_ranges(m.spec, env)
-            cm = concretize(m.functor, array, ranges, env=env,
-                            writable=writable)
-            self._map_cache[key] = (weakref.ref(array), cm)
-            while len(self._map_cache) > 64:
+            # LRU touch: (re)insert at the recent end so a storm of cold
+            # keys evicts other cold keys, not the hot working set.
+            cm = cache.pop(key, None)
+            if cm is None:
+                ranges = evaluate_ranges(m.spec, env)
+                cm = concretize(m.functor, array, ranges, env=env,
+                                writable=writable)
+            elif cm.array is not array:
+                cm = cm.rebind(array)
+            cache[key] = cm
+            while len(cache) > 64:
                 # Bounded LRU eviction (dicts iterate in insertion
                 # order, so the first key is the least recently used).
-                self._map_cache.pop(next(iter(self._map_cache)))
+                cache.pop(next(iter(cache)))
             out.append(cm)
         return out
 
     def _gather_inputs(self, in_maps, record) -> np.ndarray:
+        if len(in_maps) == 1:
+            # The B=1 hot path: an inline timer pair, no context manager.
+            start = perf_counter()
+            x = in_maps[0].gather(flatten_batch=True)
+            record.add(Phase.TO_TENSOR, perf_counter() - start)
+            return x
         with self.events.timed(record, Phase.TO_TENSOR):
-            if len(in_maps) == 1:
-                return in_maps[0].gather(flatten_batch=True)
             parts = []
             batch = None
             for cm in in_maps:
@@ -378,10 +382,12 @@ class ApproxRegion:
         return np.concatenate(parts, axis=-1)
 
     def _scatter_outputs(self, out_maps, tensor: np.ndarray, record) -> None:
+        if len(out_maps) == 1:
+            start = perf_counter()
+            out_maps[0].scatter(tensor)
+            record.add(Phase.FROM_TENSOR, perf_counter() - start)
+            return
         with self.events.timed(record, Phase.FROM_TENSOR):
-            if len(out_maps) == 1:
-                out_maps[0].scatter(tensor)
-                return
             flat = tensor.reshape(len(tensor), -1)
             offset = 0
             for cm in out_maps:
@@ -534,10 +540,9 @@ class ApproxRegion:
             # observed divergence into the policy (trip/recover) and
             # the QoS budget ledger.  Timed as SHADOW — it is
             # validation overhead, not serving cost.
-            import time as _time
-            start = _time.perf_counter()
+            start = perf_counter()
             reference = self._engine.infer(self.model_path, inputs)
-            record.add(Phase.SHADOW, _time.perf_counter() - start)
+            record.add(Phase.SHADOW, perf_counter() - start)
             div = pol.observe(self.name, outputs, reference,
                               qos=self.config.qos)
             self._note_precision(record, dtype, divergence=div)

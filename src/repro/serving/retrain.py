@@ -29,6 +29,7 @@ rows for faster adaptation under sustained drift.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import threading
@@ -117,11 +118,16 @@ def hot_swap_model(model, model_path, engines=(),
 
     After the replace, every engine's model cache entry for the path is
     invalidated and re-warmed so the next inference runs the new
-    weights with a freshly compiled plan.
+    weights with a freshly compiled plan.  The engines' cache locks are
+    held throughout, so inference through them waits for the swap.
     """
     from .. import obs
     model_path = Path(model_path)
-    with obs.tracer().span("hot_swap", model=model_path.name):
+    caches = {id(e.cache): e.cache for e in engines if e is not None}
+    with obs.tracer().span("hot_swap", model=model_path.name), \
+            contextlib.ExitStack() as held:
+        for _, cache in sorted(caches.items()):   # one global lock order
+            held.enter_context(cache.lock)
         return _hot_swap_model(model, model_path, engines, verify_inputs)
 
 

@@ -154,11 +154,6 @@ class RegionServer:
                              for n in members}
         return formed
 
-    def disable_fleets(self) -> None:
-        """Drop fleet grouping; every region serves single-model again."""
-        self._fleet = None
-        self._fleet_names = set()
-
     def invoke_fleet(self, calls) -> dict:
         """Serve a wave of invocations, batching fleet members together.
 
@@ -258,16 +253,6 @@ class RegionServer:
         for served in self._regions.values():
             served.region.events.stream = stream
         return stream
-
-    def detach_stream(self) -> None:
-        """Stop recording; flushes and closes the current stream."""
-        if self._stream is None:
-            return
-        for served in self._regions.values():
-            if served.region.events.stream is self._stream:
-                served.region.events.stream = None
-        self._stream.close()
-        self._stream = None
 
     # -- resilience wiring -----------------------------------------------
     def attach_breakers(self, names=None, **breaker_kwargs) -> dict:

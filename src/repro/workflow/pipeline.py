@@ -25,13 +25,6 @@ class CampaignResult:
     nas: NASResult
     deployments: list = field(default_factory=list)  # [(ModelTrial, DeploymentMetrics)]
 
-    def best_deployment(self, error_cutoff: float | None = None):
-        pool = self.deployments
-        if error_cutoff is not None:
-            filtered = [(t, m) for t, m in pool if m.qoi_error < error_cutoff]
-            pool = filtered or pool
-        return min(pool, key=lambda tm: tm[1].qoi_error)
-
     def fastest_deployment(self, error_cutoff: float | None = None):
         pool = self.deployments
         if error_cutoff is not None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import approx_ml
+from repro.bridge import BridgeError
 from repro.nn import Linear, Sequential, save_model
 from repro.runtime import EventLog, load_training_data
 
@@ -114,3 +115,111 @@ def test_region_repr_and_flush_idempotent(tmp_path):
     region.flush()
     region.close()
     region.close()
+
+
+# ----------------------------------------------------------------------
+# Layout-keyed descriptors: fresh buffers of a cached layout rebind
+# ----------------------------------------------------------------------
+
+def count_concretize(monkeypatch):
+    """Count the region runtime's full (symbolic) concretizations."""
+    from repro.runtime import region as region_module
+    calls = []
+    real = region_module.concretize
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(region_module, "concretize", counting)
+    return calls
+
+
+def test_fresh_row_views_rebind_cached_descriptors(tmp_path, monkeypatch):
+    region = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    identity_model(tmp_path / "m.rnm")
+    calls = count_concretize(monkeypatch)
+    x = np.random.default_rng(2).normal(size=(256, 2))
+    y = np.zeros(256)
+    for i in range(256):
+        region(x[i:i + 1], y[i:i + 1], 1, flag=True)
+    np.testing.assert_allclose(y, x.sum(axis=1), atol=1e-12)
+    assert len(calls) == 2                  # one per map, first call only
+    assert len(region._map_cache) == 2
+
+
+def test_rebind_keeps_deferred_scatters_in_their_rows(tmp_path):
+    """A batched region scatters at flush time through the maps it
+    concretized at submit time; rebinding must not retarget those."""
+    identity_model(tmp_path / "m.rnm")
+
+    @approx_ml(DIRECTIVES.format(db=tmp_path / "d.rh5",
+                                 model=tmp_path / "m.rnm"),
+               auto_batch=True, max_batch_rows=64)
+    def region(x, y, N, flag=False):
+        y[:N] = x[:N].sum(axis=1)
+
+    x = np.random.default_rng(3).normal(size=(100, 2))
+    y = np.zeros(100)
+    for i in range(100):
+        region(x[i:i + 1], y[i:i + 1], 1, flag=True)
+    region.flush()
+    np.testing.assert_allclose(y, x.sum(axis=1), atol=1e-12)
+    assert len(region._map_cache) == 2
+
+
+@pytest.mark.parametrize("make_x", [
+    lambda x: x.astype(np.float32),                    # other dtype
+    lambda x: np.ascontiguousarray(                    # other strides
+        np.concatenate([x, np.zeros_like(x)], axis=1))[:, :2],
+], ids=["float32", "strides"])
+def test_other_layout_reconcretizes(tmp_path, monkeypatch, make_x):
+    region = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    identity_model(tmp_path / "m.rnm")
+    calls = count_concretize(monkeypatch)
+    x = np.random.default_rng(4).normal(size=(1, 2))
+    y = np.zeros(1)
+    region(x, y, 1, flag=True)
+    other = make_x(x.copy())
+    assert other.shape == x.shape and other.flags.c_contiguous
+    assert (other.dtype, other.strides) != (x.dtype, x.strides)
+    y2 = np.zeros(1)
+    region(other, y2, 1, flag=True)
+    np.testing.assert_allclose(y2, x.sum(axis=1), rtol=1e-6)
+    assert sum(a is other for a in calls) == 1   # a miss, not a rebind
+    assert len(region._map_cache) == 3
+
+
+def test_rebound_to_map_views_stay_read_only(tmp_path):
+    region = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    identity_model(tmp_path / "m.rnm")
+    x = np.ones((4, 2))
+    for i in range(4):
+        region(x[i:i + 1], np.zeros(1), 1, flag=True)
+    maps = list(region._map_cache.values())
+    to_map = next(cm for cm in maps if not cm.writable)
+    from_map = next(cm for cm in maps if cm.writable)
+    assert to_map.array.base is x                       # was rebound
+    assert not to_map.views()[0].view.flags.writeable
+    assert from_map.views()[0].view.flags.writeable
+    assert x.flags.writeable                            # app memory untouched
+
+
+def test_non_contiguous_argument_raises(tmp_path):
+    region = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    identity_model(tmp_path / "m.rnm")
+    x = np.ones((8, 2))
+    region(x[:4], np.zeros(4), 4, flag=True)
+    with pytest.raises(BridgeError, match="C-contiguous"):
+        region(x[::2], np.zeros(4), 4, flag=True)
+    cm = next(iter(region._map_cache.values()))
+    with pytest.raises(BridgeError, match="C-contiguous"):
+        cm.rebind(np.ones((4, 4))[:, ::2])
+
+
+def test_range_overrunning_smaller_layout_raises(tmp_path):
+    region = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    identity_model(tmp_path / "m.rnm")
+    region(np.ones((8, 2)), np.zeros(8), 8, flag=True)
+    with pytest.raises(BridgeError, match="outside"):
+        region(np.ones((4, 2)), np.zeros(8), 8, flag=True)

@@ -102,7 +102,10 @@ def test_trainer_survives_nan_loss():
     model = Sequential(Linear(2, 1))
     trainer = Trainer(model, lr=1e-1, batch_size=16, max_epochs=3,
                       patience=3)
-    result = trainer.fit(x, y, x, y)
+    # The overflow in the optimizer's moment update is the point of the
+    # test: assert it instead of leaking it into the run's warnings.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        result = trainer.fit(x, y, x, y)
     assert result.epochs_run >= 1        # completed without raising
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from repro.directives import parse_directive
 from repro.nn import Linear, Sequential, save_model
-from repro.runtime import (ApproxRegion, DataCollector, EventLog,
-                           ExecutionPath, InferenceEngine, ModelCache, Phase,
+from repro.runtime import (ApproxRegion, BatchedInferenceEngine,
+                           DataCollector, EventLog, ExecutionPath,
+                           InferenceEngine, ModelCache, Phase,
                            decide_path, eval_condition, load_training_data)
 
 # ----------------------------------------------------------------------
@@ -187,6 +188,51 @@ def test_model_cache_loads_once(tmp_path):
     assert len(cache) == 1
     cache.clear()
     assert cache.get(path) is not m1
+
+
+def constant_model(path, value):
+    """Save a 2 -> 1 model whose output is ``value`` for every input."""
+    model = Sequential(Linear(2, 1))
+    model[0].weight.data = np.zeros((1, 2))
+    model[0].bias.data = np.array([value])
+    save_model(model, path)
+
+
+def test_relative_model_path_follows_cwd(tmp_path, monkeypatch):
+    """Resolved paths are memoized per working directory: after a chdir
+    the same relative ``model(...)`` path names the other file."""
+    for name, value in (("a", 1.0), ("b", 2.0)):
+        (tmp_path / name).mkdir()
+        constant_model(tmp_path / name / "m.rnm", value)
+    x = np.zeros((1, 2))
+    region = ApproxRegion(lambda x, y, N, flag=False: None, GOOD)
+    assert region.model_path == "m.rnm"
+    batched = BatchedInferenceEngine(cache=region.engine.cache)
+    got = []
+    for name, value in (("a", 1.0), ("b", 2.0), ("a", 1.0)):
+        monkeypatch.chdir(tmp_path / name)
+        y = np.zeros(1)
+        region(x, y, 1, flag=True)
+        assert y[0] == value
+        batched.submit("m.rnm", x, lambda out, s: got.append(out[0, 0]))
+    batched.flush()
+    assert got == [1.0, 2.0, 1.0]
+    assert len(region.engine.cache) == 2
+
+
+def test_invalidate_after_memoized_get_reloads(tmp_path):
+    path = tmp_path / "m.rnm"
+    constant_model(path, 1.0)
+    cache = ModelCache()
+    first = cache.get(path)
+    assert cache.get(str(path)) is first          # memoized resolve
+    constant_model(path, 2.0)                     # new weights in place
+    assert cache.get(path) is first
+    assert cache.invalidate(path)
+    second = cache.get(path)
+    assert second is not first
+    assert second[0].bias.data[0] == 2.0
+    assert not cache.invalidate(tmp_path / "absent.rnm")
 
 
 def test_engine_roundtrip(tmp_path):

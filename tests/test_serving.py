@@ -504,6 +504,33 @@ def test_hot_swap_race_never_serves_torn_model(tmp_path):
     assert np.isfinite(load_model(path)[0].weight.data).all()
 
 
+def test_hot_swap_holds_engine_cache_locks(tmp_path):
+    """Inference through a swapping engine waits for the swap: another
+    thread cannot take the engine's cache lock while the swap runs."""
+    from repro.runtime import InferenceEngine, ModelCache
+    free_during_swap = []
+
+    class ProbeCache(ModelCache):
+        def invalidate(self, path):
+            def probe():
+                got = self.lock.acquire(blocking=False)
+                free_during_swap.append(got)
+                if got:
+                    self.lock.release()
+            t = threading.Thread(target=probe)
+            t.start()
+            t.join()
+            return super().invalidate(path)
+
+    path = tmp_path / "m.rnm"
+    save_model(Sequential(Linear(2, 1)), path)
+    engine = InferenceEngine(cache=ProbeCache())
+    hot_swap_model(Sequential(Linear(2, 1)), path, engines=[engine, engine])
+    assert free_during_swap == [False]
+    assert engine.cache.lock.acquire(blocking=False)   # released after
+    engine.cache.lock.release()
+
+
 def test_retrain_worker_polls_db_growth_and_hot_swaps(tmp_path):
     region = _collectable_region(tmp_path)
     rng = np.random.default_rng(3)
