@@ -26,14 +26,22 @@ Run from the repo root::
 ``--quick`` shrinks every dimension for CI smoke runs and asserts the
 two headline properties inline: fp64 outputs bitwise-unchanged, and
 fp32 forward speedup geomean >= 1.3x on the GEMM-bound shapes.
+
+The forward and fleet cells are timed under one BLAS thread (set
+through numpy's bundled OpenBLAS, recorded as ``config.blas_threads``;
+``null`` when that library is absent and the count is left alone):
+multithreaded OpenBLAS is bimodal across processes on small hosts, and
+a cell timed in its slow mode measures the thread pool, not the dtype.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +119,43 @@ def _time_loop(fn, repeats: int, warmup: int = 3, chunks: int = 5) -> float:
             fn()
         best = min(best, (time.perf_counter() - start) / per_chunk)
     return best
+
+
+def _bundled_openblas():
+    """numpy's bundled scipy-openblas library, or ``None`` if absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_") and \
+                hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the block with ``n`` BLAS threads, restoring the old count.
+
+    Yields ``n``, or ``None`` (and changes nothing) when numpy's
+    bundled OpenBLAS thread setter is not available.
+    """
+    lib = _bundled_openblas()
+    if lib is None:
+        yield None
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(n)
+    try:
+        yield n
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
 
 
 def _geomean(values) -> float:
@@ -293,9 +338,10 @@ def run_benchmark(workdir, *, quick: bool = False, batch: int = 4096,
                   repeats: int = 200, epochs: int = 150,
                   seed: int = 0) -> dict:
     workdir = Path(workdir)
-    forward = bench_forward(batch=batch, repeats=repeats, seed=seed)
-    fleet = bench_fleet(batch=max(batch // 4, 64),
-                        repeats=max(repeats // 2, 10), seed=seed)
+    with blas_threads(1) as threads:
+        forward = bench_forward(batch=batch, repeats=repeats, seed=seed)
+        fleet = bench_fleet(batch=max(batch // 4, 64),
+                            repeats=max(repeats // 2, 10), seed=seed)
     governed = bench_governed(workdir, quick=quick, epochs=epochs,
                               seed=seed)
     shm = bench_shm(workdir, batch=min(batch, 512), seed=seed)
@@ -303,7 +349,8 @@ def run_benchmark(workdir, *, quick: bool = False, batch: int = 4096,
     return {
         "schema": SCHEMA,
         "config": {"quick": quick, "batch": batch, "repeats": repeats,
-                   "epochs": epochs, "seed": seed},
+                   "epochs": epochs, "seed": seed,
+                   "blas_threads": threads},
         "forward": forward,
         "fleet": fleet,
         "governed": governed,

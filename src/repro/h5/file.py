@@ -19,6 +19,42 @@ from .format import decode_tree, encode_tree
 __all__ = ["File", "Group", "Dataset"]
 
 
+class _State:
+    """Change flag shared by every node of one tree."""
+
+    __slots__ = ("dirty",)
+
+    def __init__(self):
+        self.dirty = False
+
+
+def _marking(name):
+    method = getattr(dict, name)
+
+    def mutate(self, *args, **kwargs):
+        self._state.dirty = True
+        return method(self, *args, **kwargs)
+
+    mutate.__name__ = name
+    return mutate
+
+
+class _Attrs(dict):
+    """Attribute dict whose mutators mark the owning tree dirty."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: _State, items=()):
+        super().__init__(items)
+        self._state = state
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "update",
+              "setdefault", "pop", "popitem", "clear"):
+    setattr(_Attrs, _name, _marking(_name))
+del _name
+
+
 class Dataset:
     """An n-dimensional array within a group, appendable on axis 0.
 
@@ -27,11 +63,13 @@ class Dataset:
     region invocation.
     """
 
-    def __init__(self, name: str, data: np.ndarray, attrs: dict | None = None):
+    def __init__(self, name: str, data: np.ndarray, attrs: dict | None = None,
+                 state: _State | None = None):
         self.name = name
         self._base = np.asarray(data)
         self._pending: list[np.ndarray] = []
-        self.attrs: dict = dict(attrs or {})
+        self._state = state or _State()
+        self.attrs: dict = _Attrs(self._state, attrs or {})
 
     def _consolidate(self) -> None:
         if self._pending:
@@ -63,6 +101,7 @@ class Dataset:
                 f"append shape {chunk.shape[1:]} does not match dataset "
                 f"inner shape {self._base.shape[1:]}")
         self._pending.append(chunk.copy())
+        self._state.dirty = True
 
     def read(self) -> np.ndarray:
         """Materialize the full array (copy-safe view of internal buffer)."""
@@ -80,11 +119,12 @@ class Dataset:
 class Group:
     """A node holding child groups, datasets, and attributes."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, state: _State | None = None):
         self.name = name
         self._groups: dict[str, Group] = {}
         self._datasets: dict[str, Dataset] = {}
-        self.attrs: dict = {}
+        self._state = state or _State()
+        self.attrs: dict = _Attrs(self._state)
 
     # -- navigation ----------------------------------------------------
     def _resolve(self, path: str):
@@ -130,7 +170,11 @@ class Group:
         for part in [p for p in path.split("/") if p]:
             if part in node._datasets:
                 raise ValueError(f"{part!r} already names a dataset")
-            node = node._groups.setdefault(part, Group(part))
+            child = node._groups.get(part)
+            if child is None:
+                child = node._groups[part] = Group(part, self._state)
+                self._state.dirty = True
+            node = child
         return node
 
     def require_group(self, path: str) -> "Group":
@@ -145,8 +189,9 @@ class Group:
             raise ValueError(f"{name!r} already names a group")
         if name in self._datasets:
             raise ValueError(f"dataset {name!r} already exists")
-        ds = Dataset(name, np.asarray(data), attrs)
+        ds = Dataset(name, np.asarray(data), attrs, self._state)
         self._datasets[name] = ds
+        self._state.dirty = True
         return ds
 
     def require_dataset(self, name: str, inner_shape: tuple,
@@ -171,13 +216,15 @@ class Group:
         }
 
     @classmethod
-    def _from_tree(cls, name: str, tree: dict) -> "Group":
-        g = cls(name)
-        g.attrs = dict(tree.get("attrs", {}))
+    def _from_tree(cls, name: str, tree: dict,
+                   state: _State | None = None) -> "Group":
+        g = cls(name, state)
+        g.attrs.update(tree.get("attrs", {}))
         for n, sub in tree.get("groups", {}).items():
-            g._groups[n] = cls._from_tree(n, sub)
+            g._groups[n] = cls._from_tree(n, sub, g._state)
         for n, ds in tree.get("datasets", {}).items():
-            g._datasets[n] = Dataset(n, ds["data"], ds.get("attrs"))
+            g._datasets[n] = Dataset(n, ds["data"], ds.get("attrs"), g._state)
+        g._state.dirty = False
         return g
 
 
@@ -186,6 +233,12 @@ class File(Group):
 
     Modes: ``"w"`` truncate-create, ``"a"`` read-modify-write (creates if
     missing), ``"r"`` read-only (writes raise at flush).
+
+    The file is rewritten whole, and only when it is :attr:`dirty`: new
+    (``"w"``, or ``"a"`` on a missing path), or changed since the last
+    write by creating a group or dataset, appending, or editing an
+    ``attrs`` dict.  In-place edits of arrays returned by
+    :meth:`Dataset.read` are not tracked.
 
     ``atomic=True`` routes every flush through the crash-safe
     tmp+fsync+``os.replace`` path (:mod:`repro.ioutil`), so readers
@@ -203,26 +256,36 @@ class File(Group):
         self._closed = False
         if mode in ("r", "a") and self.path.exists():
             tree = decode_tree(self.path.read_bytes())
-            loaded = Group._from_tree("/", tree)
+            loaded = Group._from_tree("/", tree, self._state)
             self._groups = loaded._groups
             self._datasets = loaded._datasets
             self.attrs = loaded.attrs
         elif mode == "r":
             raise FileNotFoundError(str(self.path))
+        else:
+            self._state.dirty = True
+
+    @property
+    def dirty(self) -> bool:
+        """True when the in-memory tree differs from the file on disk."""
+        return self.mode != "r" and self._state.dirty
 
     def flush(self) -> None:
-        if self.mode == "r":
+        """Rewrite the file if it is :attr:`dirty`."""
+        if not self.dirty:
             return
         if self.atomic:
             from ..ioutil import atomic_write_bytes
             atomic_write_bytes(self.path, encode_tree(self._to_tree()))
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_bytes(encode_tree(self._to_tree()))
+        else:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.path.write_bytes(encode_tree(self._to_tree()))
+        self._state.dirty = False
 
     def close(self) -> None:
         if not self._closed:
-            self.flush()
+            if self.dirty:
+                self.flush()
             self._closed = True
 
     def __enter__(self) -> "File":

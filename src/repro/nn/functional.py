@@ -3,9 +3,10 @@
 These free functions operate on :class:`repro.nn.tensor.Tensor` and
 implement the dense kernels the paper delegates to the Torch backend.
 All hot loops are expressed as NumPy stride-tricks views plus matrix
-multiplies, following the vectorize-don't-loop idiom: an ``im2col``
-gather turns convolution into a single GEMM, which is how production
-inference engines realize conv layers on CPUs.
+multiplies, following the vectorize-don't-loop idiom: a channel-major
+``im2col`` gather turns convolution into one GEMM per sample whose
+result is already in NCHW order, which is how production inference
+engines realize conv layers on CPUs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from .tensor import Tensor
 __all__ = [
     "linear", "conv1d", "conv2d", "max_pool1d", "max_pool2d",
     "avg_pool2d", "dropout", "softmax", "log_softmax", "im2col", "col2im",
-    "conv_output_size", "max_pool2d_raw", "max_pool1d_raw", "avg_pool2d_raw",
+    "conv_output_size", "conv2d_raw", "conv2d_weight_grad", "max_pool2d_raw",
+    "max_pool1d_raw", "avg_pool2d_raw",
 ]
 
 
@@ -41,45 +43,81 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Gather sliding ``kh x kw`` patches of ``x`` (N, C, H, W) into columns.
 
-    Returns an array of shape ``(N, out_h, out_w, C*kh*kw)``.  Uses a
-    zero-copy strided view followed by one reshape-copy, so the cost is a
-    single pass over the gathered patches.
+    Returns a fresh contiguous array of shape ``(N, C*kh*kw, out_h*out_w)``
+    in channel-major layout: row ``(c, ih, iw)`` of sample ``n`` holds
+    input channel ``c`` shifted by ``(ih, iw)`` and sampled at every
+    output position, so ``W.reshape(C_out, -1) @ cols[n]`` is the
+    convolution of sample ``n`` already in ``(C_out, out_h, out_w)``
+    order.  The gather is one copy of a strided view of the zero-padded
+    input whose innermost runs are whole output rows (contiguous in the
+    source at stride 1).
     """
     n, c, h, w = x.shape
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        h += 2 * padding
-        w += 2 * padding
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+        x = xp
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
     sn, sc, sh, sw = x.strides
     view = np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+        shape=(n, c, kh, kw, out_h, out_w),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
-    # (N, out_h, out_w, C, kh, kw) -> flatten patch dims.
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h, out_w, c * kh * kw)
-    return np.ascontiguousarray(cols)
+    cols = np.empty((n, c * kh * kw, out_h * out_w), dtype=x.dtype)
+    cols.reshape(view.shape)[...] = view
+    return cols
 
 
 def col2im(cols: np.ndarray, x_shape: tuple, kh: int, kw: int,
            stride: int, padding: int) -> np.ndarray:
-    """Scatter-add columns back to image layout (adjoint of :func:`im2col`)."""
+    """Scatter-add columns back to image layout (adjoint of :func:`im2col`).
+
+    ``cols`` is ``(N, C*kh*kw, out_h*out_w)`` in :func:`im2col`'s
+    channel-major layout; each of the ``kh*kw`` shifted slabs is added
+    into a zero-padded gradient, which is then cropped to ``x_shape``.
+    """
     n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    out_h = (hp - kh) // stride + 1
-    out_w = (wp - kw) // stride + 1
-    x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    patch = cols.reshape(n, out_h, out_w, c, kh, kw)
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    x = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    slabs = cols.reshape(n, c, kh, kw, out_h, out_w)
     for ih in range(kh):
         for iw in range(kw):
-            x[:, :, ih:ih + stride * out_h:stride, iw:iw + stride * out_w:stride] += \
-                patch[:, :, :, :, ih, iw].transpose(0, 3, 1, 2)
+            x[:, :, ih:ih + stride * out_h:stride,
+              iw:iw + stride * out_w:stride] += slabs[:, :, ih, iw]
     if padding:
         x = x[:, :, padding:-padding, padding:-padding]
     return x
+
+
+def conv2d_raw(x: np.ndarray, wmat: np.ndarray, bias: np.ndarray | None,
+               kh: int, kw: int, stride: int, padding: int):
+    """Forward 2-D convolution on raw arrays: ``(out, cols)``.
+
+    ``wmat`` is the ``(C_out, C*kh*kw)`` weight matrix.  One batched
+    GEMM over the :func:`im2col` columns writes ``out`` straight into
+    contiguous ``(N, C_out, out_h, out_w)``; the bias is added in place.
+    Each sample is its own GEMM, so row ``i`` of an ``N``-row call is
+    bitwise the 1-row call on sample ``i``.  Shared between the
+    autodiff op below and the compiled plan steps.
+    """
+    n, _c, h, w = x.shape
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    cols = im2col(x, kh, kw, stride, padding)
+    out = np.matmul(wmat, cols).reshape(n, wmat.shape[0], out_h, out_w)
+    if bias is not None:
+        out += bias.reshape(-1, 1, 1)
+    return out, cols
+
+
+def conv2d_weight_grad(g3: np.ndarray, cols: np.ndarray, out=None):
+    """``gW = sum_n g[n] @ cols[n].T`` for ``g3`` shaped ``(N, C_out, L)``."""
+    return np.add.reduce(np.matmul(g3, cols.transpose(0, 2, 1)), axis=0,
+                         out=out)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -87,30 +125,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """2-D cross-correlation.
 
     ``x``: (N, C_in, H, W); ``weight``: (C_out, C_in, kh, kw);
-    ``bias``: (C_out,).  Implemented as im2col + GEMM.
+    ``bias``: (C_out,).  Implemented as channel-major im2col + one
+    batched GEMM (:func:`conv2d_raw`).
     """
-    n, c_in, h, w = x.shape
+    n, c_in = x.shape[:2]
     c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"conv2d channel mismatch: input {c_in} vs weight {c_in_w}")
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
-
-    cols = im2col(x.data, kh, kw, stride, padding)        # (N, oh, ow, C*kh*kw)
     wmat = weight.data.reshape(c_out, -1)                 # (C_out, C*kh*kw)
-    out_data = cols @ wmat.T                              # (N, oh, ow, C_out)
-    out_data = out_data.transpose(0, 3, 1, 2)             # (N, C_out, oh, ow)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, -1, 1, 1)
+    out_data, cols = conv2d_raw(x.data, wmat,
+                                None if bias is None else bias.data,
+                                kh, kw, stride, padding)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
         # g: (N, C_out, oh, ow)
-        gmat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)       # (N*oh*ow, C_out)
-        cols_flat = cols.reshape(-1, cols.shape[-1])            # (N*oh*ow, C*kh*kw)
-        gw = (gmat.T @ cols_flat).reshape(weight.shape)
-        gcols = (gmat @ wmat).reshape(n, out_h, out_w, -1)
+        g3 = g.reshape(n, c_out, -1)                          # (N, C_out, oh*ow)
+        gw = conv2d_weight_grad(g3, cols).reshape(weight.shape)
+        gcols = np.matmul(wmat.T, g3)                         # (N, C*kh*kw, oh*ow)
         gx = col2im(gcols, x.data.shape, kh, kw, stride, padding)
         if bias is None:
             return gx, gw

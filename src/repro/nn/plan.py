@@ -934,28 +934,35 @@ class FlattenStep(PlanStep):
 
 
 # ----------------------------------------------------------------------
-# Convolution steps (im2col + GEMM, backward mirrors functional.conv2d)
+# Convolution steps (channel-major im2col + one batched GEMM, backward
+# mirrors functional.conv2d).  ``F.im2col`` gathers ``(N, C*kh*kw,
+# oh*ow)`` columns whose rows are whole shifted output planes, so
+# ``W (C_out, C*kh*kw) @ cols[n]`` lands directly in contiguous
+# ``(N, C_out, oh, ow)``; bias and activation then run in place.
+# Inference forwards allocate their columns and output per call and
+# keep no scratch in ``_bufs``.
 # ----------------------------------------------------------------------
 
 class Conv2dStep(PlanStep):
-    """2-D cross-correlation.  Forward mirrors ``functional.conv2d``
-    (im2col + GEMM); training backward replays its adjoint exactly —
-    ``gW`` from the gathered columns, ``gx`` via ``col2im``.  Inference
-    mode optionally fuses a following activation in place.
+    """2-D cross-correlation.  Forward is ``functional.conv2d_raw``
+    (channel-major im2col + GEMM); training backward replays its adjoint
+    exactly — ``gW = sum_n g[n] @ cols[n].T``, ``gcols = W.T @ g`` and
+    ``gx`` via ``col2im``.  Both modes fuse a following activation in
+    place.
 
     :class:`Conv1dStep` reuses this machinery through the same
     unit-height reshape route ``functional.conv1d`` takes, overriding
     only the window geometry and the 3-D <-> 4-D lift/lower hooks.
     """
 
-    __slots__ = ("layer", "wmat_t", "act", "slope", "gw", "gb",
+    __slots__ = ("layer", "wmat", "act", "slope", "gw", "gb",
                  "grad_params", "kh", "kw", "padding")
 
     def __init__(self, layer, act, training):
         super().__init__(training)
         self.layer = layer
         c_out = layer.weight.data.shape[0]
-        self.wmat_t = layer.weight.data.reshape(c_out, -1).T  # param view
+        self.wmat = layer.weight.data.reshape(c_out, -1)  # param view
         if act is None:
             self.act, self.slope = None, 0.0
         else:
@@ -980,17 +987,17 @@ class Conv2dStep(PlanStep):
     def forward(self, x, n):
         lay = self.layer
         x4 = self._lift(x)
-        cols = F.im2col(x4, self.kh, self.kw, lay.stride, self.padding)
-        out = cols @ self.wmat_t               # (N, oh, ow, C_out)
-        out = out.transpose(0, 3, 1, 2)
-        if lay.bias is not None:
-            out = out + lay.bias.data.reshape(1, -1, 1, 1)
-        out = self._lower(out)
+        out4, cols = F.conv2d_raw(
+            x4, self.wmat, None if lay.bias is None else lay.bias.data,
+            self.kh, self.kw, lay.stride, self.padding)
+        out = self._lower(out4)
+        # Inference passes a throwaway dict: only leaky needs act
+        # scratch, and per-call scratch keeps conv plans free of
+        # shared buffers.
+        s = self.scratch(n) if self.training else {}
         if self.act is not None:
-            out = np.ascontiguousarray(out)
-            _act_forward(self.act, self.slope, out, self.scratch(n))
+            _act_forward(self.act, self.slope, out, s)
         if self.training:
-            s = self.scratch(n)
             s["cols"] = cols
             s["x4_shape"] = x4.shape
             s["out"] = out
@@ -1002,18 +1009,18 @@ class Conv2dStep(PlanStep):
             _act_backward(self.act, self.slope, g, s["out"], s)
         lay = self.layer
         cols = s["cols"]
-        c_out = self.gw.shape[0]
+        x4_shape = s["x4_shape"]
+        c_out = self.wmat.shape[0]
         # Mirrors the functional.conv2d adjoint op-for-op.
         g4 = self._lift(g)
-        gmat = g4.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        cols_flat = cols.reshape(-1, cols.shape[-1])
-        np.dot(gmat.T, cols_flat, out=self.gw.reshape(c_out, -1))
+        g3 = g4.reshape(x4_shape[0], c_out, -1)
+        F.conv2d_weight_grad(g3, cols, out=self.gw.reshape(c_out, -1))
         if self.gb is not None:
             g4.sum(axis=(0, 2, 3), out=self.gb)
         if not need_gx:
             return None
-        gcols = (gmat @ self.wmat_t.T).reshape(cols.shape)
-        gx4 = F.col2im(gcols, s["x4_shape"], self.kh, self.kw,
+        gcols = np.matmul(self.wmat.T, g3)
+        gx4 = F.col2im(gcols, x4_shape, self.kh, self.kw,
                        lay.stride, self.padding)
         return self._lower(gx4)
 
@@ -1337,7 +1344,8 @@ def narrow_plan_steps(steps, dtype) -> None:
     the arrays still trips the staleness watch and recompiles).
 
     Steps that keep live float64 state (BatchNorm/LayerNorm running
-    stats, conv im2col weights, GRU windows) are refused with
+    stats, conv weight matrices viewing the float64 parameters, GRU
+    windows) are refused with
     :class:`UnsupportedLayerError` — callers fall back to the float64
     plan rather than silently promoting mid-plan.
     """

@@ -107,10 +107,16 @@ class DataCollector:
         buf.invocations += 1
 
     def flush(self) -> None:
-        """Concatenate buffered chunks into the database and sync it."""
+        """Concatenate buffered chunks into the database and sync it.
+
+        The database is rewritten only when rows were appended; with
+        nothing buffered this is a no-op.
+        """
+        appended = False
         for region_name, buf in self._buffers.items():
             if not buf.invocations:
                 continue
+            appended = True
             fh = self._open()
             group = fh.require_group(region_name)
             xs = buf.inputs[0] if len(buf.inputs) == 1 \
@@ -125,7 +131,7 @@ class DataCollector:
             group.attrs["invocations"] = (group.attrs.get("invocations", 0)
                                           + buf.invocations)
             buf.clear()
-        if self._file is not None:
+        if appended:
             self._file.flush()
 
     def close(self) -> None:

@@ -151,6 +151,33 @@ def test_file_size(tmp_path):
     assert f.file_size > 1000 * 10 * 8
 
 
+def test_file_rewrites_only_when_dirty(tmp_path):
+    path = tmp_path / "d.rh5"
+    with File(path, "w") as f:
+        assert f.dirty                       # a new file must be written
+        g = f.create_group("g")
+        g.create_dataset("x", np.zeros((2, 3)))
+        f.flush()
+        assert not f.dirty
+    mtime = path.stat().st_mtime_ns
+    with File(path, "a") as f:
+        assert not f.dirty                   # loading is not a change
+        assert f["g/x"].shape == (2, 3)
+    assert path.stat().st_mtime_ns == mtime
+    for edit in (lambda f: f["g/x"].append(np.ones((1, 3))),
+                 lambda f: f["g"].attrs.__setitem__("n", 3),
+                 lambda f: f["g/x"].attrs.update(units="m"),
+                 lambda f: f.create_group("h")):
+        with File(path, "a") as f:
+            edit(f)
+            assert f.dirty
+    with File(path, "r") as f:
+        assert f["g/x"].shape == (3, 3)
+        assert f["g"].attrs["n"] == 3
+        assert f["g/x"].attrs["units"] == "m"
+        assert "h" in f and not f.dirty
+
+
 @given(st.lists(
     st.tuples(st.sampled_from(["a", "b", "c", "d"]),
               st.integers(1, 4), st.integers(1, 4)),

@@ -38,6 +38,7 @@ def test_precision_bench_smoke_writes_valid_schema(tmp_path):
     assert on_disk["schema"] == "bench_precision/v1"
     assert on_disk == json.loads(json.dumps(results))    # JSON-clean
     assert on_disk["config"]["quick"] is True
+    assert on_disk["config"]["blas_threads"] in (1, None)
 
     summary = on_disk["summary"]
     # The non-negotiable control: dtype parameterization left the

@@ -1,5 +1,7 @@
 """Runtime: events, path decisions, collection, inference engine."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,38 @@ def test_collector_buffers_until_flush(tmp_path):
     np.testing.assert_allclose(x[2:4], 2.0)
     np.testing.assert_allclose(x[4:], 3.0)
     np.testing.assert_allclose(t, [0.1, 0.1, 0.2, 0.2, 0.3])
+
+
+@pytest.fixture
+def count_db_writes(monkeypatch):
+    writes = []
+    original = Path.write_bytes
+
+    def write_bytes(self, data):
+        writes.append(self.name)
+        return original(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    return writes
+
+
+def test_collector_writes_database_once_per_change(tmp_path, count_db_writes):
+    db = tmp_path / "w.rh5"
+    coll = DataCollector(db)
+    coll.record("r", np.ones((2, 3)), np.zeros((2, 1)), 0.1)
+    coll.close()                         # collector flush + file close
+    assert count_db_writes == ["w.rh5"]
+
+    coll = DataCollector(db)
+    coll.record("r", np.ones((1, 3)), np.zeros((1, 1)), 0.1)
+    coll.flush()
+    assert len(count_db_writes) == 2
+    coll.flush()                         # nothing buffered
+    size = coll.bytes_written            # flushes, nothing buffered
+    coll.close()
+    assert len(count_db_writes) == 2
+    assert size == db.stat().st_size
+    assert load_training_data(db, "r")[0].shape == (3, 3)
 
 
 # ----------------------------------------------------------------------
