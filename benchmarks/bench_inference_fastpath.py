@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import sys
 import time
 from pathlib import Path
 
@@ -35,6 +35,10 @@ import numpy as np
 from repro.nn import Tensor, no_grad, compile_inference, save_model
 from repro.runtime import BatchedInferenceEngine, InferenceEngine
 from repro.search.builders import build_minibude_mlp, build_mlp2
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from _common import (IN_FEATURES, OUT_FEATURES, geomean,  # noqa: E402
+                     time_loop)
 
 SCHEMA = "bench_inference_fastpath/v1"
 
@@ -59,29 +63,12 @@ TABLE4_MLP_SHAPES = [
      {"hidden1_features": 160, "hidden2_features": 96}),
 ]
 
-_IN_FEATURES = {"minibude": 6, "binomial": 5, "bonds": 5}
-_OUT_FEATURES = {"minibude": 1, "binomial": 1, "bonds": 2}
-
 
 def build_shape(benchmark: str, arch: dict, seed: int = 0):
     if benchmark == "minibude":
         return build_minibude_mlp(arch, seed=seed)
-    return build_mlp2(arch, _IN_FEATURES[benchmark],
-                      _OUT_FEATURES[benchmark], seed=seed)
-
-
-def _time_loop(fn, repeats: int, warmup: int = 5, chunks: int = 5) -> float:
-    """Seconds per call: best-of-``chunks`` mean (robust to load spikes)."""
-    for _ in range(warmup):
-        fn()
-    per_chunk = max(1, repeats // chunks)
-    best = float("inf")
-    for _ in range(chunks):
-        start = time.perf_counter()
-        for _ in range(per_chunk):
-            fn()
-        best = min(best, (time.perf_counter() - start) / per_chunk)
-    return best
+    return build_mlp2(arch, IN_FEATURES[benchmark],
+                      OUT_FEATURES[benchmark], seed=seed)
 
 
 def bench_single_call(repeats: int = 3000, seed: int = 0) -> list[dict]:
@@ -91,7 +78,7 @@ def bench_single_call(repeats: int = 3000, seed: int = 0) -> list[dict]:
     for label, benchmark, arch in TABLE4_MLP_SHAPES:
         model = build_shape(benchmark, arch, seed=seed)
         model.eval()
-        x1 = rng.normal(size=(1, _IN_FEATURES[benchmark]))
+        x1 = rng.normal(size=(1, IN_FEATURES[benchmark]))
         plan = compile_inference(model)
 
         with no_grad():
@@ -103,8 +90,8 @@ def bench_single_call(repeats: int = 3000, seed: int = 0) -> list[dict]:
             with no_grad():
                 return model(Tensor(x1)).numpy()
 
-        graph_s = _time_loop(graph_call, repeats)
-        compiled_s = _time_loop(lambda: plan(x1), repeats)
+        graph_s = time_loop(graph_call, repeats)
+        compiled_s = time_loop(lambda: plan(x1), repeats)
         rows.append({
             "shape": label,
             "benchmark": benchmark,
@@ -131,7 +118,7 @@ def bench_batched_throughput(workdir, n_rows: int = 512,
         model.eval()
         path = workdir / f"{label}.rnm"
         save_model(model, path)
-        inputs = rng.normal(size=(n_rows, _IN_FEATURES[benchmark]))
+        inputs = rng.normal(size=(n_rows, IN_FEATURES[benchmark]))
 
         unbatched = InferenceEngine()
         unbatched.warmup(path)
@@ -147,9 +134,9 @@ def bench_batched_throughput(workdir, n_rows: int = 512,
                 batched.submit(path, inputs[i:i + 1])
             batched.flush()
 
-        t_un = min(_time_loop(run_unbatched, 1, warmup=1)
+        t_un = min(time_loop(run_unbatched, 1, warmup=1)
                    for _ in range(repeats))
-        t_b = min(_time_loop(run_batched, 1, warmup=1)
+        t_b = min(time_loop(run_batched, 1, warmup=1)
                   for _ in range(repeats))
         rows.append({
             "shape": label,
@@ -161,13 +148,6 @@ def bench_batched_throughput(workdir, n_rows: int = 512,
             "throughput_gain": t_un / t_b,
         })
     return rows
-
-
-def _geomean(values) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    return float(math.exp(sum(math.log(v) for v in values) / len(values)))
 
 
 def run_benchmark(workdir, repeats: int = 3000, n_rows: int = 512,
@@ -188,11 +168,11 @@ def run_benchmark(workdir, repeats: int = 3000, n_rows: int = 512,
         "single_call": single,
         "batched": batched,
         "summary": {
-            "single_call_speedup_geomean": _geomean(speedups),
-            "single_call_speedup_geomean_deployed": _geomean(small),
+            "single_call_speedup_geomean": geomean(speedups),
+            "single_call_speedup_geomean_deployed": geomean(small),
             "single_call_speedup_best": max(speedups),
             "single_call_max_abs_diff": max(r["max_abs_diff"] for r in single),
-            "batched_throughput_gain_geomean": _geomean(
+            "batched_throughput_gain_geomean": geomean(
                 [r["throughput_gain"] for r in batched]),
         },
     }

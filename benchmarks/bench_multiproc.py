@@ -53,8 +53,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_inference_fastpath import (_IN_FEATURES, _OUT_FEATURES,
-                                      build_shape)  # noqa: E402
+from _common import IN_FEATURES, OUT_FEATURES  # noqa: E402
+from bench_inference_fastpath import build_shape  # noqa: E402
 
 from repro.api import approx_ml                     # noqa: E402
 from repro.nn import save_model                     # noqa: E402
@@ -92,8 +92,8 @@ def make_mlp_region(workdir, benchmark: str, arch: dict, *, name: str,
     model = build_shape(benchmark, arch, seed=seed)
     path = workdir / f"{name}.rnm"
     save_model(model, path)
-    n_in = _IN_FEATURES[benchmark]
-    n_out = _OUT_FEATURES[benchmark]
+    n_in = IN_FEATURES[benchmark]
+    n_out = OUT_FEATURES[benchmark]
     fo = ("fo: [i, 0:1] = ([i])" if n_out == 1
           else f"fo: [i, 0:{n_out}] = ([i, 0:{n_out}])")
     src = f"""
@@ -114,8 +114,8 @@ def make_mlp_region(workdir, benchmark: str, arch: dict, *, name: str,
 def make_io(benchmark: str, rows: int, seed: int = 0):
     """One ``(rows, F)`` input block and a matching output buffer."""
     rng = np.random.default_rng(seed)
-    x = np.ascontiguousarray(rng.normal(size=(rows, _IN_FEATURES[benchmark])))
-    n_out = _OUT_FEATURES[benchmark]
+    x = np.ascontiguousarray(rng.normal(size=(rows, IN_FEATURES[benchmark])))
+    n_out = OUT_FEATURES[benchmark]
     y = np.zeros(rows) if n_out == 1 else np.zeros((rows, n_out))
     return x, y
 
@@ -283,7 +283,7 @@ def scenario_ipc(workdir, *, quick) -> dict:
 
     out = {"shape": label, "rows": rows, "repeats": repeats,
            "payload_bytes_in": int(x.nbytes),
-           "payload_bytes_out": rows * _OUT_FEATURES[benchmark] * 8,
+           "payload_bytes_out": rows * OUT_FEATURES[benchmark] * 8,
            "transports": {}}
 
     # In-process floor: the engine call the worker itself runs.
@@ -292,8 +292,8 @@ def scenario_ipc(workdir, *, quick) -> dict:
     forward_wall = 0.0
     t0 = time.perf_counter()
     for _ in range(repeats):
-        engine.infer(path, x)
-        forward_wall += engine.last_timing.get("forward_wall", 0.0)
+        _, timing = engine.infer(path, x)
+        forward_wall += timing["forward_wall"]
     wall = time.perf_counter() - t0
     out["transports"]["inproc"] = {
         "roundtrip_us": wall / repeats * 1e6,

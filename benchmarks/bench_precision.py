@@ -37,11 +37,8 @@ a cell timed in its slow mode measures the thread pool, not the dtype.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
-import math
-import time
-from contextlib import contextmanager
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +48,10 @@ from repro.nn import (Trainer, compile_fleet_inference, compile_inference,
                       save_model)
 from repro.qos import PrecisionPolicy, QoSController
 from repro.search.builders import build_minibude_mlp, build_mlp2
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from _common import (IN_FEATURES, OUT_FEATURES, blas_threads,  # noqa: E402
+                     geomean, time_loop)
 
 SCHEMA = "bench_precision/v1"
 
@@ -72,9 +73,6 @@ TABLE4_MLP_SHAPES = [
     ("bonds-m", "bonds",
      {"hidden1_features": 160, "hidden2_features": 96}),
 ]
-
-_IN_FEATURES = {"minibude": 6, "binomial": 5, "bonds": 5}
-_OUT_FEATURES = {"minibude": 1, "binomial": 1, "bonds": 2}
 
 APPS = ("binomial", "bonds", "minibude")
 HARNESS_PARAMS = {
@@ -103,66 +101,8 @@ TRAIN_PARAMS = {
 def build_shape(benchmark: str, arch: dict, seed: int = 0):
     if benchmark == "minibude":
         return build_minibude_mlp(arch, seed=seed)
-    return build_mlp2(arch, _IN_FEATURES[benchmark],
-                      _OUT_FEATURES[benchmark], seed=seed)
-
-
-def _time_loop(fn, repeats: int, warmup: int = 3, chunks: int = 5) -> float:
-    """Seconds per call: best-of-``chunks`` mean (robust to load spikes)."""
-    for _ in range(warmup):
-        fn()
-    per_chunk = max(1, repeats // chunks)
-    best = float("inf")
-    for _ in range(chunks):
-        start = time.perf_counter()
-        for _ in range(per_chunk):
-            fn()
-        best = min(best, (time.perf_counter() - start) / per_chunk)
-    return best
-
-
-def _bundled_openblas():
-    """numpy's bundled scipy-openblas library, or ``None`` if absent."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        if hasattr(lib, "scipy_openblas_set_num_threads64_") and \
-                hasattr(lib, "scipy_openblas_get_num_threads64_"):
-            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            lib.scipy_openblas_set_num_threads64_.restype = None
-            lib.scipy_openblas_get_num_threads64_.argtypes = []
-            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-            return lib
-    return None
-
-
-@contextmanager
-def blas_threads(n: int):
-    """Run the block with ``n`` BLAS threads, restoring the old count.
-
-    Yields ``n``, or ``None`` (and changes nothing) when numpy's
-    bundled OpenBLAS thread setter is not available.
-    """
-    lib = _bundled_openblas()
-    if lib is None:
-        yield None
-        return
-    old = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(n)
-    try:
-        yield n
-    finally:
-        lib.scipy_openblas_set_num_threads64_(old)
-
-
-def _geomean(values) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    return float(math.exp(sum(math.log(v) for v in values) / len(values)))
+    return build_mlp2(arch, IN_FEATURES[benchmark],
+                      OUT_FEATURES[benchmark], seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +116,7 @@ def bench_forward(batch: int = 4096, repeats: int = 200,
     for label, benchmark, arch in TABLE4_MLP_SHAPES:
         model = build_shape(benchmark, arch, seed=seed)
         model.eval()
-        x = rng.normal(size=(batch, _IN_FEATURES[benchmark]))
+        x = rng.normal(size=(batch, IN_FEATURES[benchmark]))
         p64 = compile_inference(model)
         p32 = compile_inference(model, dtype=np.float32)
         # The control: an explicitly-float64 plan is the same plan the
@@ -188,8 +128,8 @@ def bench_forward(batch: int = 4096, repeats: int = 200,
             p64.fingerprint == explicit64.fingerprint
         rel = float(np.abs(y32 - y64).max() /
                     (np.abs(y64).max() + 1e-12))
-        t64 = _time_loop(lambda: p64(x), repeats)
-        t32 = _time_loop(lambda: p32(x), repeats)
+        t64 = time_loop(lambda: p64(x), repeats, warmup=3)
+        t32 = time_loop(lambda: p32(x), repeats, warmup=3)
         rows.append({
             "shape": label,
             "benchmark": benchmark,
@@ -214,7 +154,7 @@ def bench_fleet(batch: int = 1024, repeats: int = 100, seed: int = 0,
     rows = []
     rng = np.random.default_rng(seed + 1)
     label, benchmark, arch = TABLE4_MLP_SHAPES[1]     # minibude-m
-    x = rng.normal(size=(batch, _IN_FEATURES[benchmark]))
+    x = rng.normal(size=(batch, IN_FEATURES[benchmark]))
     for k in fleet_sizes:
         models = [build_shape(benchmark, arch, seed=s) for s in range(k)]
         f64 = compile_fleet_inference(models)
@@ -222,8 +162,8 @@ def bench_fleet(batch: int = 1024, repeats: int = 100, seed: int = 0,
         y64, y32 = f64(x), f32(x)
         rel = float(np.abs(y32 - y64).max() /
                     (np.abs(y64).max() + 1e-12))
-        t64 = _time_loop(lambda: f64(x), repeats)
-        t32 = _time_loop(lambda: f32(x), repeats)
+        t64 = time_loop(lambda: f64(x), repeats, warmup=3)
+        t32 = time_loop(lambda: f32(x), repeats, warmup=3)
         rows.append({
             "shape": label,
             "k": k,
@@ -306,7 +246,7 @@ def bench_shm(workdir: Path, batch: int = 512, calls: int = 8,
     path = workdir / "shm.rnm"
     save_model(model, path)
     x = np.random.default_rng(seed + 2).normal(
-        size=(batch, _IN_FEATURES[benchmark]))
+        size=(batch, IN_FEATURES[benchmark]))
     handle = WorkerHandle(0, mp.get_context("fork"))
     try:
         client = RemoteEngineClient(handle)
@@ -356,12 +296,12 @@ def run_benchmark(workdir, *, quick: bool = False, batch: int = 4096,
         "governed": governed,
         "shm": shm,
         "summary": {
-            "f32_speedup_geomean": _geomean(speedups),
+            "f32_speedup_geomean": geomean(speedups),
             "f32_speedup_best": max(speedups),
             "f32_max_rel_diff": max(r["max_rel_diff"] for r in forward),
             "fp64_bitwise_identical": all(r["fp64_bitwise_identical"]
                                           for r in forward),
-            "fleet_f32_speedup_geomean": _geomean(
+            "fleet_f32_speedup_geomean": geomean(
                 [r["speedup"] for r in fleet]),
             "governed_within_budget": all(r["within_budget"]
                                           for r in governed),

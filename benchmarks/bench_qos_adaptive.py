@@ -24,12 +24,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import sys
 from pathlib import Path
 
 from repro.apps.harness import harness_for
 from repro.nn import Trainer
 from repro.qos import ErrorBudgetPolicy, QoSController, ThresholdPolicy
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from _common import geomean  # noqa: E402
 
 SCHEMA = "bench_qos_adaptive/v1"
 
@@ -138,13 +141,6 @@ def run_app(name: str, workdir: Path, *, quick: bool, shadow_rates,
     return row
 
 
-def _geomean(values) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    return float(math.exp(sum(math.log(v) for v in values) / len(values)))
-
-
 def run_benchmark(workdir, *, quick: bool = False,
                   shadow_rates=(0.05, 0.1, 0.25),
                   budget_fraction: float = 0.25, chunk: int = 16,
@@ -169,9 +165,9 @@ def run_benchmark(workdir, *, quick: bool = False,
                    "epochs": epochs, "seed": seed},
         "apps": apps,
         "summary": {
-            "pure_speedup_geomean": _geomean(
+            "pure_speedup_geomean": geomean(
                 [r["pure_infer"]["speedup"] for r in apps]),
-            "monitored_speedup_geomean": _geomean(
+            "monitored_speedup_geomean": geomean(
                 [e["speedup"] for r in apps for e in r["shadow_sweep"]
                  if e["rate"] == mid_rate]),
             "validation_overhead_mean": (sum(overheads) / len(overheads)

@@ -205,12 +205,12 @@ def scenario_trainer_crashes(workdir: Path, *, rows: int, epochs: int,
             polls += 1
             # Serving rides through every failed retrain attempt: the
             # deployed (stale) model keeps answering.
-            out = engine.infer(workdir / "w.rnm", probe)
+            out, _ = engine.infer(workdir / "w.rnm", probe)
             if np.all(np.isfinite(out)):
                 serving_ok += 1
     recovery_seconds = time.perf_counter() - t0
 
-    pred = engine.infer(workdir / "w.rnm", x).ravel()
+    pred = engine.infer(workdir / "w.rnm", x)[0].ravel()
     return {
         "rows": rows,
         "crashes_injected": 3,
@@ -236,7 +236,7 @@ def scenario_corrupt_swap(workdir: Path, *, seed: int) -> dict:
     save_model(_linear_model(1.0), path)
     engine = InferenceEngine()
     x = np.ones((4, 2))
-    np.testing.assert_allclose(engine.infer(path, x).ravel(), 2.0)
+    np.testing.assert_allclose(engine.infer(path, x)[0].ravel(), 2.0)
 
     injector = FaultInjector(seed=seed)
     injector.script(HOT_SWAP, "truncate", at=[0], keep=0.5)
@@ -251,13 +251,13 @@ def scenario_corrupt_swap(workdir: Path, *, seed: int) -> dict:
                                verify_inputs=x)
             except HotSwapError:
                 rolled_back = True
-            out = engine.infer(path, x).ravel()
+            out = engine.infer(path, x)[0].ravel()
             if np.all(np.isfinite(out)):
                 served_during += 1
 
     # After the faulted attempt the retry landed: new weights serve.
     t0 = time.perf_counter()
-    final = engine.infer(path, x).ravel()
+    final = engine.infer(path, x)[0].ravel()
     swap_landed = bool(np.allclose(final, 20.0))
     return {
         "attempts": attempts,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -40,6 +41,9 @@ from repro.nn import (GRU, Conv1d, Destandardize, Flatten, Linear, ReLU,
                       Sequential, Standardize, Tensor, Trainer,
                       compile_training, mse_loss)
 from repro.search.builders import build_minibude_mlp, build_mlp2
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from _common import IN_FEATURES, OUT_FEATURES  # noqa: E402
 
 SCHEMA = "bench_training_fastpath/v1"
 
@@ -82,9 +86,6 @@ BATCH_SIZES = (32, 64, 128)
 WIDE_BATCH_SIZES = (128, 256)
 SEQ_BATCH_SIZES = (64,)
 
-_IN_FEATURES = {"minibude": 6, "binomial": 5, "bonds": 5}
-_OUT_FEATURES = {"minibude": 1, "binomial": 1, "bonds": 2}
-
 
 def build_shape(benchmark: str, arch: dict, seed: int = 0):
     """Harness-style surrogate: Standardize -> Table IV core -> Destandardize
@@ -100,7 +101,7 @@ def build_shape(benchmark: str, arch: dict, seed: int = 0):
         out_l = arch["length"] - k + 1
         return Sequential(Conv1d(cin, c, k, rng=rng), ReLU(), Flatten(),
                           Linear(c * out_l, 1, rng=rng))
-    fin, fout = _IN_FEATURES[benchmark], _OUT_FEATURES[benchmark]
+    fin, fout = IN_FEATURES[benchmark], OUT_FEATURES[benchmark]
     if benchmark == "minibude":
         core = build_minibude_mlp(arch, in_features=fin, out_features=fout,
                                   seed=seed)
@@ -118,8 +119,8 @@ def _train_data(benchmark: str, n_rows: int, seed: int = 0, arch=None):
     if benchmark == "conv1d":
         x = rng.normal(size=(n_rows, arch["in_channels"], arch["length"]))
         return x, rng.normal(size=(n_rows, 1))
-    x = rng.normal(size=(n_rows, _IN_FEATURES[benchmark]))
-    y = rng.normal(size=(n_rows, _OUT_FEATURES[benchmark]))
+    x = rng.normal(size=(n_rows, IN_FEATURES[benchmark]))
+    y = rng.normal(size=(n_rows, OUT_FEATURES[benchmark]))
     return x, y
 
 

@@ -44,29 +44,21 @@ __all__ = ["BatchedInferenceEngine"]
 _ROW_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
-class _Pending:
-    """One queued invocation: inputs plus its result callback."""
-
-    __slots__ = ("inputs", "on_result")
-
-    def __init__(self, inputs, on_result):
-        self.inputs = inputs
-        self.on_result = on_result
-
-
 class BatchedInferenceEngine(InferenceEngine):
     """An :class:`InferenceEngine` that coalesces queued invocations."""
 
     def __init__(self, device: Device | None = None,
                  cache: ModelCache | None = None,
                  use_compiled: bool = True, max_batch_rows: int = 256):
-        super().__init__(device=device, cache=cache,
-                         use_compiled=use_compiled)
+        # Not ``super()``: a process batched engine puts its worker
+        # forward between this class and InferenceEngine in the MRO.
+        InferenceEngine.__init__(self, device=device, cache=cache,
+                                 use_compiled=use_compiled)
         if max_batch_rows <= 0:
             raise ValueError(f"max_batch_rows must be positive: "
                              f"{max_batch_rows}")
         self.max_batch_rows = max_batch_rows
-        self._queue: list[_Pending] = []
+        self._queue: list[tuple] = []         # (inputs, on_result)
         self._queue_key: str | None = None
         self._queue_dtype = None              # np.dtype | None (= float64)
         self._queued_rows = 0
@@ -76,7 +68,6 @@ class BatchedInferenceEngine(InferenceEngine):
         self._queue_lock = threading.RLock()
         self._rows_hist = None                # lazy cached obs handles
         self._obs_tracer = None
-        self.submissions = 0
         self.batches_flushed = 0
         self.rows_flushed = 0
 
@@ -112,13 +103,12 @@ class BatchedInferenceEngine(InferenceEngine):
             if self._queue and (key != self._queue_key or
                                 dtype != self._queue_dtype or
                                 inputs.shape[1:] !=
-                                self._queue[0].inputs.shape[1:]):
+                                self._queue[0][0].shape[1:]):
                 self.flush()                  # region-triggered
-            self._queue.append(_Pending(inputs, on_result))
+            self._queue.append((inputs, on_result))
             self._queue_key = key
             self._queue_dtype = dtype
             self._queued_rows += len(inputs)
-            self.submissions += 1
             if self._queued_rows >= self.max_batch_rows:
                 self.flush()                  # size-triggered
 
@@ -141,12 +131,12 @@ class BatchedInferenceEngine(InferenceEngine):
             total = self._queued_rows
 
             if len(pending) == 1:
-                batch = pending[0].inputs
+                batch = pending[0][0]
             else:
-                batch = np.concatenate([p.inputs for p in pending], axis=0)
+                batch = np.concatenate([x for x, _ in pending], axis=0)
             start = time.perf_counter()
-            outputs = self._flush_forward(self._queue_key, batch,
-                                          dtype=self._queue_dtype)
+            outputs, timing = super().infer(self._queue_key, batch,
+                                            dtype=self._queue_dtype)
             if obs.is_enabled():
                 tracer = self._obs_tracer
                 if tracer is None:
@@ -166,20 +156,20 @@ class BatchedInferenceEngine(InferenceEngine):
             self._queued_rows = 0
             self.batches_flushed += 1
             self.rows_flushed += total
-            forward_device = self.last_inference_seconds
+            forward_device = timing["forward_device"]
 
         # Deliver outside the lock: callbacks scatter into application
         # memory and may re-enter submit (never while holding the queue).
         results = []
         offset = 0
         first_error = None
-        for p in pending:
-            n = len(p.inputs)
+        for inputs, on_result in pending:
+            n = len(inputs)
             out = outputs[offset:offset + n]
             offset += n
-            if p.on_result is not None:
+            if on_result is not None:
                 try:
-                    p.on_result(out, forward_device * (n / total))
+                    on_result(out, forward_device * (n / total))
                 except Exception as exc:
                     if first_error is None:
                         first_error = exc
@@ -188,21 +178,13 @@ class BatchedInferenceEngine(InferenceEngine):
             raise first_error
         return results
 
-    # -- the one fused forward --------------------------------------------
-    def _flush_forward(self, model_path, batch: np.ndarray,
-                       dtype=None) -> np.ndarray:
-        """Run one fused ``(B, *features)`` forward for the queue.
-
-        The single seam between batching policy and execution:
-        process-backend engines override this to ship the batch to a
-        worker process, inheriting the queue/flush/delivery machinery
-        unchanged.
-        """
-        return super().infer(model_path, batch, dtype=dtype)
-
     # -- immediate path ---------------------------------------------------
-    def infer(self, model_path, inputs: np.ndarray,
-              dtype=None) -> np.ndarray:
-        """Immediate inference; acts as a barrier for queued work."""
+    def infer(self, model_path, inputs: np.ndarray, dtype=None) -> tuple:
+        """Immediate inference; acts as a barrier for queued work.
+
+        Both this and :meth:`flush` run their forward through the next
+        class in the MRO — :class:`InferenceEngine` here, the worker
+        forward in a process batched engine.
+        """
         self.flush()
-        return self._flush_forward(model_path, inputs, dtype=dtype)
+        return super().infer(model_path, inputs, dtype=dtype)

@@ -64,7 +64,7 @@ class _FleetGroup:
 
 
 class FleetInferenceEngine:
-    """Answers per-member ``infer`` calls from stacked fleet forwards."""
+    """Answers per-member calls from stacked fleet forwards."""
 
     def __init__(self, device: Device | None = None,
                  cache: ModelCache | None = None, dtype=np.float64):
@@ -82,11 +82,6 @@ class FleetInferenceEngine:
         #: server keeps these on the single-model path.
         self.ungrouped: list = []
         self._built = False
-        #: Timing of the most recent batched call, mirroring
-        #: :attr:`InferenceEngine.last_timing` plus the member count the
-        #: forward served (callers attribute per-member cost as
-        #: ``forward_device / members_served``).
-        self.last_timing: dict = {}
 
     # -- membership --------------------------------------------------------
     def add_member(self, name: str, model_path) -> FleetMember:
@@ -96,13 +91,6 @@ class FleetInferenceEngine:
         self._members[name] = member
         self._built = False
         return member
-
-    @property
-    def names(self) -> tuple:
-        return tuple(self._members)
-
-    def member(self, name: str) -> FleetMember:
-        return self._members[name]
 
     def fleet_size(self, name: str) -> int:
         """Members in ``name``'s fleet (0 when ungrouped)."""
@@ -159,11 +147,6 @@ class FleetInferenceEngine:
         self._built = True
         return formed
 
-    def groups(self) -> dict:
-        """``{fingerprint: [member names]}`` for the current fleets."""
-        return {g.fingerprint: [m.name for m in g.members]
-                for g in self._groups}
-
     # -- hot-swap ----------------------------------------------------------
     def _sync_member(self, member: FleetMember) -> None:
         """Fold a swapped/retrained model into the member's slab row."""
@@ -191,19 +174,9 @@ class FleetInferenceEngine:
             if member.model_path == key and member.group is not None:
                 self._sync_member(member)
 
-    def sync(self) -> None:
-        """Re-sync every grouped member (swap + staleness sweep)."""
-        for member in self._members.values():
-            if member.group is not None:
-                self._sync_member(member)
-
     # -- inference ---------------------------------------------------------
-    def _require_built(self) -> None:
-        if not self._built:
-            self.build()
-
-    def infer_many(self, calls: dict) -> dict:
-        """Answer ``{name: inputs}`` with ``{name: outputs}``.
+    def infer_many(self, calls: dict) -> tuple:
+        """Answer ``{name: inputs}`` with ``({name: outputs}, timing)``.
 
         Calls belonging to one fleet execute as a single stacked
         forward: member inputs are packed into a ``(K, B_max, F)``
@@ -211,8 +184,13 @@ class FleetInferenceEngine:
         row-independent, so padding rows never touch real ones) and
         each member's output rows are sliced back out.  Members of
         different fleets batch independently; ungrouped names raise.
+        ``timing`` has :meth:`InferenceEngine.infer
+        <repro.runtime.infer.InferenceEngine.infer>`'s keys plus
+        ``members_served``; callers attribute per-member cost as
+        ``forward_device / members_served``.
         """
-        self._require_built()
+        if not self._built:
+            self.build()
         by_group: dict[int, list] = {}
         for name in calls:
             member = self._members[name]
@@ -224,7 +202,6 @@ class FleetInferenceEngine:
         out: dict = {}
         total_wall = 0.0
         sim_before = self.device.clock.simulated
-        served = 0
         for members in by_group.values():
             group = members[0].group
             for member in members:
@@ -247,30 +224,20 @@ class FleetInferenceEngine:
             for member, x in zip(members, xs):
                 out[member.name] = np.array(host[member.row, :len(x)])
                 member.invocations += 1
-            served += len(members)
-        self.last_timing = {
+        return out, {
             "forward_wall": total_wall,
             "forward_device": self.device.dense_time(total_wall),
             "transfer_sim": self.device.clock.simulated - sim_before,
             "compiled": True,
-            "members_served": served,
+            "members_served": len(calls),
             "dtype": self.dtype.name,
         }
-        return out
-
-    def infer(self, name: str, inputs: np.ndarray) -> np.ndarray:
-        """One member's answer (still runs its fleet's stacked forward)."""
-        return self.infer_many({name: inputs})[name]
-
-    @property
-    def last_inference_seconds(self) -> float:
-        """Device-equivalent time of the last batched forward."""
-        return self.last_timing.get("forward_device", 0.0)
 
     # -- reporting ---------------------------------------------------------
     def snapshot(self) -> dict:
         """Per-fleet membership, invocation counters, and weight digests."""
-        self._require_built()
+        if not self._built:
+            self.build()
         groups = []
         for group in self._groups:
             groups.append({

@@ -107,13 +107,6 @@ class InferenceEngine:
         #: dtype keeps a float32 and a float64 plan of the same model
         #: cached side by side without scratch/constant mixing.
         self._plans: dict[tuple, tuple] = {}
-        #: Timing of the most recent inference: ``forward_wall`` is the
-        #: measured host time of the dense forward pass;
-        #: ``forward_device`` is its device-equivalent
-        #: (:meth:`repro.device.Device.dense_time`); ``transfer_sim``
-        #: is the modeled H2D+D2H cost; ``compiled`` says which forward
-        #: path ran.
-        self.last_timing: dict = {}
 
     # -- compiled-plan cache ---------------------------------------------
     def plan_for(self, model: Module, dtype=np.float64):
@@ -182,20 +175,25 @@ class InferenceEngine:
         return model
 
     # -- inference -------------------------------------------------------
-    def infer(self, model_path, inputs: np.ndarray,
-              dtype=None) -> np.ndarray:
+    def infer(self, model_path, inputs: np.ndarray, dtype=None) -> tuple:
         """Full inference round trip: H2D transfer, forward, D2H transfer.
 
-        ``inputs`` is batch-major ``(B, *features)``; the return value
-        keeps the model's output shape ``(B, *out_features)``.
-        ``dtype=np.float32`` runs the narrowed compiled plan when the
-        model supports it (float64 otherwise).
+        ``inputs`` is batch-major ``(B, *features)``.  Returns
+        ``(outputs, timing)``: the outputs keep the model's output shape
+        ``(B, *out_features)``; ``timing`` is this forward's own dict —
+        ``forward_wall`` (measured host time of the dense forward),
+        ``forward_device`` (its device-equivalent,
+        :meth:`repro.device.Device.dense_time`), ``transfer_sim`` (the
+        modeled H2D+D2H cost), ``compiled`` (which forward path ran) and
+        ``dtype`` (the plan's precision).  ``dtype=np.float32`` runs the
+        narrowed compiled plan when the model supports it (float64
+        otherwise).
         """
         model = self.cache.get(model_path)
         return self.infer_with_model(model, inputs, dtype=dtype)
 
     def infer_with_model(self, model: Module, inputs: np.ndarray,
-                         dtype=None) -> np.ndarray:
+                         dtype=None) -> tuple:
         sim_before = self.device.clock.simulated
         dev_in = self.device.to_device(inputs)
         plan = self.plan_for(model,
@@ -213,7 +211,7 @@ class InferenceEngine:
 
         dev_out = DeviceBuffer(out, MemorySpace.DEVICE)
         result = self.device.to_host(dev_out)
-        self.last_timing = {
+        timing = {
             "forward_wall": forward_wall,
             "forward_device": self.device.dense_time(forward_wall),
             "transfer_sim": self.device.clock.simulated - sim_before,
@@ -226,7 +224,7 @@ class InferenceEngine:
         fault = _faults.fire(_faults.SURROGATE)
         if fault is not None:
             result = _faults.apply_surrogate_fault(fault, result)
-        return result
+        return result, timing
 
     def profile(self, model_path, inputs: np.ndarray) -> dict:
         """One instrumented forward with per-plan-step timings.
@@ -257,9 +255,3 @@ class InferenceEngine:
             "total_seconds": time.perf_counter() - start,
             "outputs": out,
         }
-
-    @property
-    def last_inference_seconds(self) -> float:
-        """Device-equivalent engine time of the last inference (used by
-        the runtime for the Fig. 6 INFERENCE phase)."""
-        return self.last_timing.get("forward_device", 0.0)

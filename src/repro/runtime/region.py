@@ -7,16 +7,21 @@ runtime entry point that, per invocation:
 
 1. binds the call arguments to the directive's array names and integer
    variables (the role Clang codegen plays when it forwards pointers);
-2. concretizes the ``to``/``from`` tensor maps over those arrays;
-3. decides the execution path (:mod:`repro.runtime.control`);
-4. runs inference (data bridge → engine → data bridge) or the accurate
-   path (plus collection), timing each phase for the Fig. 6 breakdown.
+2. decides the execution path (:mod:`repro.runtime.control`, then the
+   QoS controller and the circuit breaker);
+3. runs the accurate path (plus collection), or the one inference
+   pipeline: gather (concretize the ``to``/``from`` tensor maps,
+   compose the input tensor) → shadow kernel (when validated) →
+   execute (engine forward) → verify (finite check, fp32 sample,
+   shadow error) → commit (scatter back, now or at a batched flush) →
+   finish — timing each phase for the Fig. 6 breakdown.
 """
 
 from __future__ import annotations
 
 import inspect
 import threading
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -31,7 +36,7 @@ from ..resilience.primitives import NonFiniteOutput
 from .batch import BatchedInferenceEngine
 from .collect import DataCollector
 from .control import ExecutionPath, decide_path
-from .events import EventLog, Phase
+from .events import EventLog, InvocationRecord, Phase
 from .infer import InferenceEngine
 
 __all__ = ["ApproxRegion", "RegionConfig"]
@@ -41,8 +46,7 @@ class RegionConfig:
     """Mutable runtime knobs a region honors (override directive clauses).
 
     ``qos`` attaches a :class:`repro.qos.QoSController` (shadow
-    validation + adaptive path policies); ``None`` — the default —
-    keeps the invocation hot path byte-for-byte on the PR-1 fast path.
+    validation + adaptive path policies).
     ``auto_batch`` wraps the region's engine in a
     :class:`~repro.runtime.batch.BatchedInferenceEngine` (sharing its
     device and model cache) so deploy loops coalesce invocations
@@ -121,6 +125,28 @@ class _RowPlan:
         self.arrays = arrays
 
 
+class _Invocation:
+    """One infer-path invocation between its gather and commit stages.
+
+    ``dtype`` is the plan dtype (``None`` = float64); ``policy`` and
+    ``sample`` are the ``precision="auto"`` governor and whether this
+    invocation also samples the float64 plan.
+    """
+
+    __slots__ = ("env", "record", "inputs", "out_maps", "dtype", "policy",
+                 "sample")
+
+    def __init__(self, env, record, inputs, out_maps, dtype, policy,
+                 sample):
+        self.env = env
+        self.record = record
+        self.inputs = inputs
+        self.out_maps = out_maps
+        self.dtype = dtype
+        self.policy = policy
+        self.sample = sample
+
+
 class ApproxRegion:
     """A callable wrapping an outlined region with HPAC-ML semantics."""
 
@@ -197,7 +223,6 @@ class ApproxRegion:
                 device=self._engine.device, cache=self._engine.cache,
                 use_compiled=self._engine.use_compiled,
                 max_batch_rows=self.config.max_batch_rows)
-        self._batched_engine = isinstance(self._engine, BatchedInferenceEngine)
 
     def _collect_int_symbols(self) -> tuple:
         """Integer argument names the maps depend on, computed once.
@@ -350,44 +375,35 @@ class ApproxRegion:
             out.append(cm)
         return out
 
-    def _gather_inputs(self, in_maps, record) -> np.ndarray:
-        if len(in_maps) == 1:
-            # The B=1 hot path: an inline timer pair, no context manager.
-            start = perf_counter()
-            x = in_maps[0].gather(flatten_batch=True)
-            record.add(Phase.TO_TENSOR, perf_counter() - start)
-            return x
-        with self.events.timed(record, Phase.TO_TENSOR):
-            parts = []
-            batch = None
-            for cm in in_maps:
-                x = cm.gather(flatten_batch=True)
-                x = x.reshape(len(x), -1)
-                if batch is None:
-                    batch = len(x)
-                elif len(x) != batch:
+    def _gather(self, maps, record=None) -> np.ndarray:
+        """Compose one batch-major tensor through concretized maps
+        (timed as TO_TENSOR on ``record``, when given)."""
+        start = perf_counter()
+        if len(maps) == 1:
+            x = maps[0].gather(flatten_batch=True)
+        else:
+            parts = [cm.gather(flatten_batch=True) for cm in maps]
+            batch = len(parts[0])
+            for part in parts:
+                if len(part) != batch:
                     raise BridgeError(
-                        f"region {self.name!r}: input maps disagree on batch "
-                        f"size ({batch} vs {len(x)})")
-                parts.append(x)
-            return np.concatenate(parts, axis=-1)
+                        f"region {self.name!r}: maps disagree on batch "
+                        f"size ({batch} vs {len(part)})")
+            x = np.concatenate([part.reshape(batch, -1) for part in parts],
+                               axis=-1)
+        if record is not None:
+            record.add(Phase.TO_TENSOR, perf_counter() - start)
+        return x
 
-    def _gather_outputs(self, env: dict) -> np.ndarray:
-        """Read output arrays through the from-maps (collection path)."""
-        out_reads = self._concretize(self._out_maps, env, writable=False)
-        if len(out_reads) == 1:
-            return out_reads[0].gather(flatten_batch=True)
-        parts = [cm.gather(flatten_batch=True).reshape(cm.entry_count, -1)
-                 for cm in out_reads]
-        return np.concatenate(parts, axis=-1)
+    def _read_outputs(self, env: dict) -> np.ndarray:
+        """Read the output arrays through the from-maps."""
+        return self._gather(self._concretize(self._out_maps, env, False))
 
     def _scatter_outputs(self, out_maps, tensor: np.ndarray, record) -> None:
+        start = perf_counter()
         if len(out_maps) == 1:
-            start = perf_counter()
             out_maps[0].scatter(tensor)
-            record.add(Phase.FROM_TENSOR, perf_counter() - start)
-            return
-        with self.events.timed(record, Phase.FROM_TENSOR):
+        else:
             flat = tensor.reshape(len(tensor), -1)
             offset = 0
             for cm in out_maps:
@@ -398,6 +414,7 @@ class ApproxRegion:
                 raise BridgeError(
                     f"region {self.name!r}: model produced {flat.shape[-1]} "
                     f"features, out maps consume {offset}")
+        record.add(Phase.FROM_TENSOR, perf_counter() - start)
 
     # ------------------------------------------------------------------
     # Paths
@@ -434,9 +451,7 @@ class ApproxRegion:
             return None, None, False
         if prec == "float32":
             return np.float32, None, False
-        qos = self.config.qos
-        pol = getattr(qos, "precision_policy", None) \
-            if qos is not None else None
+        pol = getattr(self.config.qos, "precision_policy", None)
         if pol is None:
             pol = self._precision_policy
             if pol is None:
@@ -465,24 +480,6 @@ class ApproxRegion:
                     "precision_divergence", region=self.name)
             self._prec_hist.observe(divergence)
 
-    def _surrogate_outputs(self, inputs, record, guard, dtype=None):
-        """One surrogate forward; guarded, non-finite outputs raise.
-
-        The finite check runs *before* any scatter so a NaN/Inf-emitting
-        model can never poison application memory — the guard converts
-        it into a breaker failure served by the accurate kernel.
-        """
-        outputs = self._engine.infer(self.model_path, inputs, dtype=dtype)
-        # The INFERENCE phase is the engine's device-equivalent time
-        # (dense forward on the simulated accelerator); transfer costs
-        # accumulate on the device clock.
-        record.add(Phase.INFERENCE, self._engine.last_inference_seconds)
-        if guard is not None and not np.all(np.isfinite(outputs)):
-            raise NonFiniteOutput(
-                f"region {self.name!r}: surrogate emitted non-finite "
-                "outputs")
-        return outputs
-
     def _note_stream_context(self, record, inputs) -> None:
         """Stream-only decision context (digest, budget spend).
 
@@ -499,63 +496,11 @@ class ApproxRegion:
             if spend is not None:
                 record.note("spend", spend)
 
-    def _run_infer(self, env, record, guard=None):
-        in_maps = self._concretize(self._in_maps, env, writable=False)
-        inputs = self._gather_inputs(in_maps, record)
-        if self.model_path is None:
-            raise RuntimeError(f"region {self.name!r}: inference "
-                               "requested but no model path configured")
-        self._note_stream_context(record, inputs)
-        dtype, pol, sample = self._effective_precision()
-        if self.config.precision is not None and not sample:
-            self._note_precision(record, dtype)
-        if self._batched_engine and guard is None and not sample:
-            # Defer: the engine coalesces queued invocations into one
-            # forward; the scatter-back lands at flush time.  Only
-            # sound for invocations independent of each other's
-            # outputs — see :mod:`repro.runtime.batch`.  A guarded
-            # region skips the deferral: the breaker needs the forward's
-            # outcome *now* to decide whether this invocation falls back
-            # (``BatchedInferenceEngine.infer`` flushes the queue
-            # first), trading batching for synchronous verification.
-            # A precision-sampled invocation also runs immediately: the
-            # fp32-vs-fp64 divergence must be observed (and charged)
-            # before the governor's next decision.
-            out_maps = self._concretize(self._out_maps, env, writable=True)
-
-            def deliver(outputs, seconds, out_maps=out_maps, record=record):
-                record.add(Phase.INFERENCE, seconds)
-                self._scatter_outputs(out_maps, outputs, record)
-                # Deferred invocations complete here: the trace/stream
-                # fold must see the flush-time scatter cost.
-                self.events.finish(record)
-
-            self._engine.submit(self.model_path, inputs, deliver,
-                                dtype=dtype)
-            return None
-        outputs = self._surrogate_outputs(inputs, record, guard,
-                                          dtype=dtype)
-        if sample:
-            # Governed fp32: also run the float64 plan and fold the
-            # observed divergence into the policy (trip/recover) and
-            # the QoS budget ledger.  Timed as SHADOW — it is
-            # validation overhead, not serving cost.
-            start = perf_counter()
-            reference = self._engine.infer(self.model_path, inputs)
-            record.add(Phase.SHADOW, perf_counter() - start)
-            div = pol.observe(self.name, outputs, reference,
-                              qos=self.config.qos)
-            self._note_precision(record, dtype, divergence=div)
-        out_maps = self._concretize(self._out_maps, env, writable=True)
-        self._scatter_outputs(out_maps, outputs, record)
-        self.events.finish(record)
-        return None
-
     def _run_accurate(self, env, record, collect: bool, args, kwargs):
         inputs = None
         if collect:
-            in_maps = self._concretize(self._in_maps, env, writable=False)
-            inputs = self._gather_inputs(in_maps, record)
+            inputs = self._gather(
+                self._concretize(self._in_maps, env, False), record)
         with self.events.timed(record, Phase.ACCURATE):
             # ACCURATE fault seam: scripted kernel slowdowns ride inside
             # the timed phase, so they show up as real kernel time.
@@ -564,7 +509,7 @@ class ApproxRegion:
                 _faults.apply_kernel_fault(fault)
             result = self.func(*args, **kwargs)
         if collect:
-            outputs = self._gather_outputs(env)
+            outputs = self._read_outputs(env)
             region_time = record.times.get(Phase.ACCURATE, 0.0)
             if self.db_path is None:
                 raise RuntimeError(f"region {self.name!r}: collection "
@@ -576,163 +521,25 @@ class ApproxRegion:
         self.events.finish(record)
         return result
 
-    def _shadow_subset(self, qos, decision, batch: int):
-        """Pick the seeded row subset for a shadowed invocation, or None.
-
-        Sub-sampling (the controller's ``shadow_rows`` knob) only
-        applies when the surrogate result is the committed one — with
-        ``commit="accurate"`` the full kernel output must land in
-        application memory — and when this invocation's batch is the
-        leading extent the row plan expects.
-        """
-        rows = getattr(qos, "shadow_rows", None)
-        if (rows is None or self._row_plan is None or batch <= rows
-                or decision.commit != "surrogate"):
-            return None
-        # Through the controller, not the validator: shared controllers
-        # (QoSArbiter) serialize the RNG draw with their other hooks.
-        return qos.row_subset(batch)
-
-    def _run_shadow(self, qos, decision, env, record, args, kwargs,
-                    guard=None):
-        """Shadow-validated inference: run accurate AND surrogate paths.
-
-        The accurate kernel executes first (timed as the SHADOW phase,
-        so validation overhead stays separate from real accurate-path
-        time), its outputs are read through the from-maps, then the
-        surrogate runs on inputs gathered *before* the kernel mutated
-        anything.  The measured error feeds the QoS rolling stats; the
-        committed result is the surrogate's (deployment-identical) or
-        the accurate one (``commit="accurate"``, e.g. policy probes and
-        auto-regressive regions).
-
-        When the controller sets ``shadow_rows`` and the region's maps
-        are row-batched (:class:`_RowPlan`), the accurate kernel runs on
-        a seeded row *subset* of the invocation: mapped arrays are
-        sliced to the subset, count symbols rewritten, and the error is
-        measured on those rows only — cutting validation cost by
-        ``rows/batch`` while the committed state stays the pure
-        surrogate output.
-        """
-        in_maps = self._concretize(self._in_maps, env, writable=False)
-        inputs = self._gather_inputs(in_maps, record)
-        # Gather may return a view of application memory (identity
-        # functors); the accurate run below mutates out/inout arrays,
-        # so snapshot before executing it.
-        inputs = np.array(inputs)
-        self._note_stream_context(record, inputs)
-        batch = len(inputs)
-        subset = self._shadow_subset(qos, decision, batch)
-        if subset is not None and not all(
-                env.get(s) == batch for s in self._row_plan.count_symbols):
-            subset = None      # partial invocation: counts != batch rows
-        if subset is None:
-            with self.events.timed(record, Phase.SHADOW):
-                result = self.func(*args, **kwargs)
-            accurate = self._gather_outputs(env)
-        else:
-            sub_env = dict(env)
-            for name in self._row_plan.arrays:
-                sub_env[name] = np.ascontiguousarray(env[name][subset])
-            for sym in self._row_plan.count_symbols:
-                sub_env[sym] = int(len(subset))
-            with self.events.timed(record, Phase.SHADOW):
-                result = self.func(**sub_env)
-            accurate = self._gather_outputs(sub_env)
-        if self.model_path is None:
-            raise RuntimeError(f"region {self.name!r}: shadow validation "
-                               "requested but no model path configured")
-        # Immediate inference (flushes any batched queue first): the
-        # error observation must not be deferred past policy decisions.
-        # The surrogate runs at the region's governed precision — the
-        # QoS shadow error then measures what deployment actually
-        # commits (fp32 divergence folds into the same estimate).
-        dtype, _, _ = self._effective_precision(allow_sample=False)
-        if self.config.precision is not None:
-            self._note_precision(record, dtype)
-        try:
-            outputs = self._surrogate_outputs(inputs, record, guard,
-                                              dtype=dtype)
-        except Exception as exc:
-            if guard is None:
-                raise
-            guard.record_failure(type(exc).__name__)
-            self._note_fallback(type(exc).__name__, guard)
-            record.note("breaker", type(exc).__name__)
-            if subset is not None:
-                # The kernel only ran on sliced *copies*; the real
-                # output arrays are still unwritten — run it for real.
-                with self.events.timed(record, Phase.ACCURATE):
-                    result = self.func(*args, **kwargs)
-            self.events.finish(record)
-            return result
-        if guard is not None:
-            guard.record_success()
-        predicted = outputs if subset is None else outputs[subset]
-        err = qos.observe_shadow(self.name, predicted, accurate)
-        record.note("shadow", err)
-        if decision.commit == "surrogate":
-            out_maps = self._concretize(self._out_maps, env, writable=True)
-            self._scatter_outputs(out_maps, outputs, record)
-        self.events.finish(record)
-        return result
-
     def _note_fallback(self, reason: str, breaker) -> None:
         """Report one breaker-driven fallback to the QoS telemetry."""
-        qos = self.config.qos
-        telemetry = getattr(qos, "telemetry", None) if qos is not None \
-            else None
+        telemetry = getattr(self.config.qos, "telemetry", None)
         if telemetry is not None and hasattr(telemetry, "record_fallback"):
             telemetry.record_fallback(self.name, reason,
                                       state=breaker.state)
 
-    def _guarded_infer(self, breaker, env, args, kwargs,
-                       qos=None, decision=None):
-        """An infer-path invocation under the circuit breaker.
-
-        A denied invocation (breaker open, not this denial's probe turn)
-        is served by the accurate kernel outright.  An allowed one runs
-        the surrogate guarded — any exception, including the pre-scatter
-        non-finite check, becomes a breaker failure and the invocation
-        is re-served accurately.  Either way the caller gets a result:
-        the region stays available through a broken surrogate.
-        """
-        if not breaker.allow():
-            self._note_fallback("breaker_open", breaker)
-            record = self.events.new_record(ExecutionPath.ACCURATE,
-                                            region=self.name)
-            record.note("breaker", "breaker_open")
-            if decision is not None and decision.reason is not None:
-                record.note("policy", decision.reason)
-            return self._run_accurate(env, record, False, args, kwargs)
-        record = self.events.new_record(ExecutionPath.INFER,
-                                        region=self.name)
-        record.note("breaker", breaker.state)
+    def _open(self, path, decision, breaker=None) -> InvocationRecord:
+        """Open a record noting the policy's reason, breaker verdict."""
+        record = self.events.new_record(path, region=self.name)
         if decision is not None and decision.reason is not None:
             record.note("policy", decision.reason)
-        if decision is not None and decision.shadow:
-            # Shadow runs the accurate kernel anyway; failure handling
-            # (record_failure + keep the accurate result) is internal.
-            return self._run_shadow(qos, decision, env, record,
-                                    args, kwargs, guard=breaker)
-        try:
-            result = self._run_infer(env, record, guard=breaker)
-        except Exception as exc:
-            breaker.record_failure(type(exc).__name__)
-            self._note_fallback(type(exc).__name__, breaker)
-            # The abandoned infer attempt still folds into the trace,
-            # carrying the failure as its breaker verdict.
-            record.note("breaker", type(exc).__name__)
-            self.events.finish(record)
-            record = self.events.new_record(ExecutionPath.ACCURATE,
-                                            region=self.name)
-            record.note("breaker", breaker.state)
-            return self._run_accurate(env, record, False, args, kwargs)
-        breaker.record_success()
-        return result
+        if breaker is not None:
+            record.note("breaker", breaker)
+        return record
 
     # ------------------------------------------------------------------
-    # Decided-path invocation (fleet serving splits decide from run)
+    # The invocation pipeline: decide -> gather -> (shadow kernel) ->
+    # execute -> verify -> commit -> finish
     # ------------------------------------------------------------------
     def path_decision(self, env: dict):
         """Resolve this invocation's path without executing anything.
@@ -752,77 +559,189 @@ class ApproxRegion:
         decision = qos.decide(self.name, base)
         return decision.path, decision
 
-    def fleet_eligible(self, path, decision) -> bool:
-        """Whether this decided invocation may join a batched fleet call.
+    def fleet_eligible(self, path, decision, dtype) -> bool:
+        """Whether this decided invocation may join a ``dtype`` fleet call.
 
         Only plain surrogate inference batches: shadow validation runs
         the accurate kernel anyway, a circuit breaker needs the
-        forward's individual outcome, and accurate/collect paths never
-        touch the engine.
+        forward's own outcome, accurate/collect paths never touch the
+        engine, and the region's precision must be the fleet's dtype —
+        not ``"auto"``, whose governor decides per invocation.
         """
+        precision = self.config.precision
         return (path == ExecutionPath.INFER
                 and (decision is None or not decision.shadow)
                 and self.config.breaker is None
-                and self.model_path is not None)
+                and self.model_path is not None
+                and precision != "auto"
+                and np.dtype(precision or np.float64) == np.dtype(dtype))
 
-    def prepare_infer(self, env: dict, decision=None):
-        """Gather an infer-path invocation's inputs without running it.
+    def prepare_infer(self, env: dict, decision=None) -> _Invocation:
+        """Gather: open the record, concretize the maps, compose the
+        inputs and resolve the plan precision.
 
-        First half of the fleet-batched protocol: returns
-        ``(inputs, record)`` with the input tensors composed and the
-        invocation record opened.  The caller runs the forward (one
-        stacked call covering many regions) and lands the outputs with
+        Fleet serving calls this directly, runs one stacked forward for
+        many regions, and commits each member with
         :meth:`complete_infer`.
         """
-        record = self.events.new_record(ExecutionPath.INFER,
-                                        region=self.name)
-        if decision is not None and decision.reason is not None:
-            record.note("policy", decision.reason)
-        in_maps = self._concretize(self._in_maps, env, writable=False)
-        inputs = self._gather_inputs(in_maps, record)
+        breaker = self.config.breaker
+        record = self._open(ExecutionPath.INFER, decision,
+                            breaker and breaker.state)
+        in_maps = self._concretize(self._in_maps, env, False)
+        out_maps = self._concretize(self._out_maps, env, True)
+        inputs = self._gather(in_maps, record)
+        shadow = decision is not None and decision.shadow
+        if shadow:
+            # Gather may return a view of application memory (identity
+            # functors); the shadow kernel mutates out/inout arrays.
+            inputs = np.array(inputs)
         self._note_stream_context(record, inputs)
-        return inputs, record
+        # A shadowed invocation measures surrogate error; it never also
+        # samples fp32 divergence.
+        dtype, policy, sample = self._effective_precision(
+            allow_sample=not shadow)
+        if self.config.precision is not None and not sample:
+            self._note_precision(record, dtype)
+        return _Invocation(env, record, inputs, out_maps, dtype, policy,
+                           sample)
 
-    def complete_infer(self, env: dict, record, outputs,
-                       seconds: float = 0.0) -> None:
-        """Scatter a batched forward's outputs back; finish the record.
+    def complete_infer(self, inv: _Invocation, outputs,
+                       seconds: float) -> None:
+        """Commit a forward run elsewhere (a batched flush, a fleet
+        call); ``seconds`` is this invocation's share of its
+        device-equivalent time."""
+        inv.record.add(Phase.INFERENCE, seconds)
+        self._scatter_outputs(inv.out_maps, outputs, inv.record)
+        self.events.finish(inv.record)
 
-        ``seconds`` is this member's share of the batched forward's
-        device time (the fleet analogue of
-        ``engine.last_inference_seconds``).
+    def _shadow_kernel(self, inv: _Invocation, decision, args, kwargs):
+        """Run the accurate kernel to validate this invocation (SHADOW).
+
+        Returns ``(subset, result, accurate)``: the validated rows
+        (``None`` = all), the kernel's return value and its outputs.
+        With the controller's ``shadow_rows`` set, a row-batched region
+        (:class:`_RowPlan`) whose surrogate result is the committed one
+        runs the kernel on a seeded row subset: mapped arrays sliced,
+        count symbols rewritten.
         """
-        record.add(Phase.INFERENCE, seconds)
-        out_maps = self._concretize(self._out_maps, env, writable=True)
-        self._scatter_outputs(out_maps, outputs, record)
+        env = inv.env
+        batch = len(inv.inputs)
+        qos = self.config.qos
+        rows = getattr(qos, "shadow_rows", None)
+        subset = None
+        if (rows is not None and self._row_plan is not None
+                and batch > rows and decision.commit == "surrogate"):
+            # Through the controller: shared controllers (QoSArbiter)
+            # serialize the RNG draw with their other hooks.
+            subset = qos.row_subset(batch)
+            if not all(env.get(s) == batch
+                       for s in self._row_plan.count_symbols):
+                subset = None  # partial invocation: counts != batch rows
+        if subset is not None:
+            env = dict(env)
+            for name in self._row_plan.arrays:
+                env[name] = np.ascontiguousarray(inv.env[name][subset])
+            for sym in self._row_plan.count_symbols:
+                env[sym] = int(len(subset))
+            args, kwargs = (), env
+        with self.events.timed(inv.record, Phase.SHADOW):
+            result = self.func(*args, **kwargs)
+        return subset, result, self._read_outputs(env)
+
+    def _infer(self, inv: _Invocation, decision, args, kwargs):
+        """Shadow kernel -> execute -> verify -> commit -> finish.
+
+        Under a circuit breaker any exception from execute, verify or
+        commit is a breaker failure: the abandoned record finishes with
+        the failure as its breaker verdict, and the invocation is served
+        by the accurate kernel (a shadowed one already ran it).
+        """
+        record = inv.record
+        shadow = decision is not None and decision.shadow
+        subset = accurate = result = None
+        if shadow:
+            subset, result, accurate = self._shadow_kernel(
+                inv, decision, args, kwargs)
+        if self.model_path is None:
+            raise RuntimeError(f"region {self.name!r}: inference "
+                               "requested but no model path configured")
+        breaker = self.config.breaker
+        if isinstance(self._engine, BatchedInferenceEngine) and \
+                breaker is None and not inv.sample and not shadow:
+            # Commit at flush: the engine coalesces queued invocations
+            # into one forward, sound only for invocations independent
+            # of each other's outputs.  Guarded, sampled and shadowed
+            # invocations need their outcome now, so they run
+            # immediately (``BatchedInferenceEngine.infer`` flushes).
+            self._engine.submit(self.model_path, inv.inputs,
+                                partial(self.complete_infer, inv),
+                                dtype=inv.dtype)
+            return None
+        try:
+            outputs, timing = self._engine.infer(self.model_path,
+                                                 inv.inputs, dtype=inv.dtype)
+            # INFERENCE is the device-equivalent forward time.
+            record.add(Phase.INFERENCE, timing["forward_device"])
+            # Verify: the breaker's finite check (before any scatter),
+            # the fp32 precision sample, the shadow error.
+            if breaker is not None and not np.all(np.isfinite(outputs)):
+                raise NonFiniteOutput(f"region {self.name!r}: surrogate "
+                                      "emitted non-finite outputs")
+            if inv.sample:
+                # The float64 forward is validation, not serving cost.
+                start = perf_counter()
+                reference, _ = self._engine.infer(self.model_path,
+                                                  inv.inputs)
+                record.add(Phase.SHADOW, perf_counter() - start)
+                self._note_precision(record, inv.dtype, inv.policy.observe(
+                    self.name, outputs, reference, qos=self.config.qos))
+            if shadow:
+                predicted = outputs if subset is None else outputs[subset]
+                record.note("shadow", self.config.qos.observe_shadow(
+                    self.name, predicted, accurate))
+            if not shadow or decision.commit == "surrogate":
+                self._scatter_outputs(inv.out_maps, outputs, record)
+        except Exception as exc:
+            if breaker is None:
+                raise
+            reason = type(exc).__name__
+            breaker.record_failure(reason)
+            self._note_fallback(reason, breaker)
+            record.note("breaker", reason)
+            if subset is not None:
+                # The kernel only ran on sliced copies: run it for real.
+                with self.events.timed(record, Phase.ACCURATE):
+                    result = self.func(*args, **kwargs)
+            self.events.finish(record)
+            if shadow:
+                return result
+            record = self._open(ExecutionPath.ACCURATE, None, breaker.state)
+            return self._run_accurate(inv.env, record, False, args, kwargs)
+        if breaker is not None:
+            breaker.record_success()
         self.events.finish(record)
+        return result
 
     def invoke_decided(self, env: dict, path, decision, args, kwargs):
         """Run one invocation whose path was already decided.
 
-        The single-model completion of :meth:`path_decision` — used
-        directly by ``__call__`` and by fleet serving for members the
-        batched call cannot absorb (accurate/collect routing, shadow
-        validation, breaker-guarded regions).
+        Used by ``__call__`` and by fleet serving for members the
+        stacked call cannot absorb.  A breaker that denies the
+        surrogate (open, not a probe turn) serves it accurately.
         """
-        if path == ExecutionPath.INFER:
-            breaker = self.config.breaker
-            if breaker is not None:
-                return self._guarded_infer(breaker, env, args, kwargs,
-                                           qos=self.config.qos,
-                                           decision=decision)
-            record = self.events.new_record(path, region=self.name)
-            if decision is not None and decision.reason is not None:
-                record.note("policy", decision.reason)
-            if decision is not None and decision.shadow:
-                return self._run_shadow(self.config.qos, decision, env,
-                                        record, args, kwargs)
-            return self._run_infer(env, record)
-        record = self.events.new_record(path, region=self.name)
-        if decision is not None and decision.reason is not None:
-            record.note("policy", decision.reason)
-        if path == ExecutionPath.COLLECT:
-            return self._run_accurate(env, record, True, args, kwargs)
-        return self._run_accurate(env, record, False, args, kwargs)
+        if path != ExecutionPath.INFER:
+            record = self._open(path, decision)
+            return self._run_accurate(env, record,
+                                      path == ExecutionPath.COLLECT,
+                                      args, kwargs)
+        breaker = self.config.breaker
+        if breaker is not None and not breaker.allow():
+            self._note_fallback("breaker_open", breaker)
+            record = self._open(ExecutionPath.ACCURATE, decision,
+                                "breaker_open")
+            return self._run_accurate(env, record, False, args, kwargs)
+        return self._infer(self.prepare_infer(env, decision), decision,
+                           args, kwargs)
 
     # ------------------------------------------------------------------
     def __call__(self, *args, **kwargs):
@@ -848,10 +767,9 @@ class ApproxRegion:
         """
         with self._io_lock:
             old = self._engine
-            if self._batched_engine:
+            if isinstance(old, BatchedInferenceEngine):
                 old.flush()
             self._engine = engine
-            self._batched_engine = isinstance(engine, BatchedInferenceEngine)
             return old
 
     def flush(self) -> None:
@@ -864,7 +782,7 @@ class ApproxRegion:
         no-op.
         """
         with self._io_lock:
-            if self._batched_engine:
+            if isinstance(self._engine, BatchedInferenceEngine):
                 self._engine.flush()
             if self._collector is not None:
                 self._collector.flush()
@@ -872,8 +790,7 @@ class ApproxRegion:
     def close(self) -> None:
         """Drain queued work and release the collector.  Idempotent."""
         with self._io_lock:
-            if self._batched_engine:
-                self._engine.flush()
+            self.flush()
             if self._collector is not None:
                 self._collector.close()
                 self._collector = None

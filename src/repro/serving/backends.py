@@ -329,8 +329,6 @@ class ProcessPoolBackend(ThreadPoolBackend):
                 # Dead worker: the flush of queued rows is lost; the
                 # original engine is still restored below.
                 placement.served.region._engine = placement.original
-                placement.served.region._batched_engine = isinstance(
-                    placement.original, BatchedInferenceEngine)
         for handle in self._handles:
             handle.pull_samples()    # final counter fold (best effort)
         for placement in placements:

@@ -162,7 +162,8 @@ class RegionServer:
         made individually (exactly once); members decided onto the
         plain surrogate path are gathered into their fleet's stacked
         forward, while the rest — accurate/collect routing, shadow
-        validation, breaker-guarded regions, ungrouped members — run
+        validation, breaker-guarded regions, regions whose precision is
+        not the fleet's dtype, ungrouped members — run
         their normal single-model invocation with the already-made
         decision.  Returns ``{name: result}`` (``None`` for infer-path
         invocations, whose outputs land through the from-maps).
@@ -171,7 +172,6 @@ class RegionServer:
             calls = [(name, args if isinstance(args, tuple) else (args,),
                       {}) for name, args in calls.items()]
         results: dict = {}
-        gathered: dict = {}
         pending: dict = {}
         for name, args, kwargs in calls:
             served = self._regions[name]
@@ -180,20 +180,20 @@ class RegionServer:
             env = region._bind_env(args, kwargs)
             path, decision = region.path_decision(env)
             if (self._fleet is not None and name in self._fleet_names
-                    and region.fleet_eligible(path, decision)):
-                inputs, record = region.prepare_infer(env, decision)
-                gathered[name] = inputs
-                pending[name] = (region, env, record)
+                    and region.fleet_eligible(path, decision,
+                                              self._fleet.dtype)):
+                pending[name] = (region, region.prepare_infer(env, decision))
                 results[name] = None
             else:
                 results[name] = region.invoke_decided(env, path, decision,
                                                       args, kwargs)
-        if gathered:
-            outputs = self._fleet.infer_many(gathered)
-            share = self._fleet.last_inference_seconds / len(gathered)
+        if pending:
+            outputs, timing = self._fleet.infer_many(
+                {name: inv.inputs for name, (_, inv) in pending.items()})
+            share = timing["forward_device"] / len(pending)
             for name, out in outputs.items():
-                region, env, record = pending[name]
-                region.complete_infer(env, record, out, seconds=share)
+                region, inv = pending[name]
+                region.complete_infer(inv, out, share)
         return results
 
     # -- QoS wiring ------------------------------------------------------

@@ -31,10 +31,10 @@ traffic off the pickle path:
 * :class:`RemoteEngineClient` plus the two engine adapters
   (:class:`ProcessInferenceEngine`,
   :class:`ProcessBatchedInferenceEngine`) — drop-in engines whose
-  forward runs in a worker.  ``last_timing`` is populated from the
-  worker's reply so the Fig. 6 INFERENCE phase accounting is
-  unchanged, and the parent-side SURROGATE fault seam still fires so
-  the PR-6 resilience harness exercises process backends too.
+  forward runs in a worker.  Each forward returns the worker's own
+  timing dict, so the Fig. 6 INFERENCE phase accounting is unchanged,
+  and the parent-side SURROGATE fault seam still fires so the
+  resilience harness exercises process backends too.
 
 Worker-side segment attachment avoids ``SharedMemory(name=...)`` where
 it can (a raw ``mmap`` of ``/dev/shm/<name>`` on Linux): the
@@ -270,35 +270,32 @@ def worker_main(conn, index: int) -> None:
                 n_in = int(np.prod(shape))
                 x = fview[base:base + n_in].reshape(shape)
                 cpu0 = time.process_time()
-                out = engine.infer(model_path, x,
-                                   dtype=None if dt == np.float64 else dt)
+                out, timing = engine.infer(
+                    model_path, x, dtype=None if dt == np.float64 else dt)
                 busy = time.process_time() - cpu0
                 out = np.asarray(out, dtype=dt)
                 requests += 1
                 rows += len(x)
-                forward_hist.observe(engine.last_timing.get(
-                    "forward_wall", busy))
+                forward_hist.observe(timing["forward_wall"])
                 if out.size <= cap_units:
                     fview[base:base + out.size] = out.reshape(-1)
-                    conn.send(("ok", out.shape, engine.last_timing, busy))
+                    conn.send(("ok", out.shape, timing, busy))
                 else:
                     # Output exceeds the slab: fall back to pickling
                     # this one reply (the client counts these so the
                     # benchmark can assert the hot path stayed at 0).
-                    conn.send(("big", out, engine.last_timing, busy))
+                    conn.send(("big", out, timing, busy))
             elif op == "infer_pickle":
                 _, model_path, x = msg[:3]
                 dt = np.dtype(msg[3] if len(msg) > 3 else np.float64)
                 cpu0 = time.process_time()
-                out = engine.infer(model_path, x,
-                                   dtype=None if dt == np.float64 else dt)
+                out, timing = engine.infer(
+                    model_path, x, dtype=None if dt == np.float64 else dt)
                 busy = time.process_time() - cpu0
                 requests += 1
                 rows += len(x)
-                forward_hist.observe(engine.last_timing.get(
-                    "forward_wall", busy))
-                conn.send(("ok", np.asarray(out, dtype=dt),
-                           engine.last_timing, busy))
+                forward_hist.observe(timing["forward_wall"])
+                conn.send(("ok", np.asarray(out, dtype=dt), timing, busy))
             elif op == "invalidate":
                 _, model_path = msg
                 if model_path is None:
@@ -617,38 +614,31 @@ class ProcessInferenceEngine(InferenceEngine):
         super().__init__(device=device, cache=_WorkerModelCache(client))
         self.client = client
 
-    def infer(self, model_path, inputs, dtype=None):
-        out, timing = self.client.infer(model_path, inputs, dtype=dtype)
-        self.last_timing = timing
-        return out
+    def infer(self, model_path, inputs, dtype=None) -> tuple:
+        """One worker forward: ``(outputs, the worker's timing)``."""
+        return self.client.infer(model_path, inputs, dtype=dtype)
 
     def warmup(self, model_path, dtype=None):
         self.client.warmup(model_path)
         return None
 
 
-class ProcessBatchedInferenceEngine(BatchedInferenceEngine):
+class ProcessBatchedInferenceEngine(BatchedInferenceEngine,
+                                    ProcessInferenceEngine):
     """Batched engine whose fused flush forward runs in a worker.
 
     Queueing, flush triggers, and scatter-back delivery stay in the
     parent (on the region's affinity thread); only the one fused
     ``(B, *features)`` forward ships across — via the slab ring, so
     batching amortizes the IPC round trip exactly like it amortizes
-    the simulated transfer cost.
+    the simulated transfer cost.  The MRO places
+    :meth:`ProcessInferenceEngine.infer` after the batched engine's
+    queue, so every forward the queue runs is a worker forward.
     """
 
     def __init__(self, client: RemoteEngineClient, device=None,
                  use_compiled: bool = True, max_batch_rows: int = 256):
-        super().__init__(device=device, cache=_WorkerModelCache(client),
-                         use_compiled=use_compiled,
-                         max_batch_rows=max_batch_rows)
+        BatchedInferenceEngine.__init__(
+            self, device=device, cache=_WorkerModelCache(client),
+            use_compiled=use_compiled, max_batch_rows=max_batch_rows)
         self.client = client
-
-    def _flush_forward(self, model_path, batch, dtype=None):
-        out, timing = self.client.infer(model_path, batch, dtype=dtype)
-        self.last_timing = timing
-        return out
-
-    def warmup(self, model_path, dtype=None):
-        self.client.warmup(model_path)
-        return None

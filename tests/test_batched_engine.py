@@ -27,7 +27,7 @@ def test_flush_matches_unbatched_and_preserves_order(tmp_path):
     chunks = [rng.normal(size=(n, 2)) for n in (1, 3, 2)]
 
     immediate = InferenceEngine()
-    expected = [immediate.infer(path, c) for c in chunks]
+    expected = [immediate.infer(path, c)[0] for c in chunks]
 
     engine = BatchedInferenceEngine(max_batch_rows=100)
     for c in chunks:
@@ -74,21 +74,22 @@ def test_immediate_infer_is_a_barrier(tmp_path):
     engine = BatchedInferenceEngine(max_batch_rows=100)
     delivered = []
     engine.submit(path, np.ones((1, 2)), lambda out, _s: delivered.append(out))
-    out = engine.infer(path, np.full((1, 2), 2.0))
+    out, _ = engine.infer(path, np.full((1, 2), 2.0))
     assert len(delivered) == 1              # queued work drained first
     np.testing.assert_allclose(out, [[4.0]], rtol=1e-12)
 
 
-def test_callback_seconds_share_sums_to_forward(tmp_path):
+def test_callback_seconds_share_sums_to_forward(tmp_path, monkeypatch):
     path = linear_model(tmp_path / "m.rnm")
     engine = BatchedInferenceEngine(max_batch_rows=100)
+    monkeypatch.setattr(engine.device, "dense_time", lambda wall: 0.5)
     shares = []
     engine.submit(path, np.ones((1, 2)), lambda _o, s: shares.append(s))
     engine.submit(path, np.ones((3, 2)), lambda _o, s: shares.append(s))
     engine.flush()
     assert len(shares) == 2
     assert shares[1] == pytest.approx(3 * shares[0])
-    assert sum(shares) == pytest.approx(engine.last_inference_seconds)
+    assert sum(shares) == pytest.approx(0.5)      # the forward's time
 
 
 def test_submission_snapshot_allows_buffer_reuse(tmp_path):

@@ -204,10 +204,10 @@ def test_gru_engine_uses_compiled_plan(tmp_path):
     loaded = engine.warmup(path)
     assert engine.plan_for(loaded) is not None
     x = rng.normal(size=(3, 5, 4))
-    out = engine.infer(path, x)
+    out, timing = engine.infer(path, x)
     np.testing.assert_allclose(out, graph_forward(loaded, x), rtol=RTOL,
                                atol=1e-300)
-    assert engine.last_timing["compiled"]
+    assert timing["compiled"]
 
 
 def test_forward_compiled_caches_and_matches():
@@ -267,9 +267,9 @@ def test_engine_recompiles_after_append(tmp_path):
     model = Sequential(Linear(4, 4, rng=rng), ReLU())
     engine = InferenceEngine()
     x = rng.normal(size=(1, 4))
-    assert engine.infer_with_model(model, x).shape == (1, 4)
+    assert engine.infer_with_model(model, x)[0].shape == (1, 4)
     model.append(Linear(4, 2, rng=rng))
-    out = engine.infer_with_model(model, x)
+    out, _ = engine.infer_with_model(model, x)
     assert out.shape == (1, 2)
     np.testing.assert_allclose(out, graph_forward(model, x), rtol=RTOL,
                                atol=1e-300)

@@ -245,3 +245,41 @@ def test_serving_lane_batches_fleet_and_respects_paths(tmp_path):
     server.region("a")(x, y_direct, 4, use_model=True)
     np.testing.assert_array_equal(ya, y_direct)
     server.close()
+
+
+def test_fleet_wave_serves_only_members_at_the_fleet_dtype(tmp_path):
+    """A float32 fleet serves only ``precision="float32"`` members: a
+    float64 region keeps its own float64 answer, and an ``"auto"``
+    region stays under its precision governor."""
+    from repro.serving import RegionServer
+
+    server = RegionServer()
+    precisions = {"f64": None, "auto": "auto", "f32a": "float32",
+                  "f32b": "float32"}
+    for name, w in [("f64", 0.1), ("auto", 0.3), ("f32a", 0.7),
+                    ("f32b", 0.9)]:
+        region = _linear_region(tmp_path, name, w)
+        region.config.precision = precisions[name]
+        server.register(region)
+    server.enable_fleets(min_members=2, dtype=np.float32)
+
+    x = np.random.default_rng(0).random((4, 2))
+    ys = {name: np.empty(4) for name in precisions}
+    server.invoke_fleet([(name, (x, ys[name], 4), {"use_model": True})
+                         for name in precisions])
+
+    members = server.snapshot()["fleets"]["groups"][0]["members"]
+    assert members["f64"]["invocations"] == 0
+    assert members["auto"]["invocations"] == 0
+    assert members["f32a"]["invocations"] == 1
+    assert members["f32b"]["invocations"] == 1
+    for name in precisions:
+        y_direct = np.empty(4)
+        server.region(name)(x, y_direct, 4, use_model=True)
+        np.testing.assert_array_equal(ys[name], y_direct)
+    notes = {name: server.region(name).events.records[0].notes or {}
+             for name in precisions}
+    assert "precision" not in notes["f64"]
+    assert notes["auto"]["precision"] == "float32"
+    assert notes["f32a"]["precision"] == "float32"
+    server.close()

@@ -325,11 +325,11 @@ def test_engine_plan_cache_adopts_scratch_on_same_model_rebind():
     engine = InferenceEngine()
     model = _mlp()
     x = np.random.default_rng(1).normal(size=(3, 5))
-    first = engine.infer_with_model(model, x)
+    first, _ = engine.infer_with_model(model, x)
     plan_a = engine.plan_for(model)
     model.load_state_dict({k: v * 2.0 for k, v in
                            model.state_dict().items()})
-    second = engine.infer_with_model(model, x)
+    second, _ = engine.infer_with_model(model, x)
     plan_b = engine.plan_for(model)
     assert plan_b is not plan_a
     assert plan_b.fingerprint == plan_a.fingerprint
@@ -352,7 +352,7 @@ def test_engine_adopts_scratch_across_real_hot_swap(tmp_path):
     save_model(_mlp(), path)
     engine = InferenceEngine()
     x = np.random.default_rng(2).normal(size=(4, 5))
-    first = engine.infer(path, x)               # warm scratch at batch 4
+    first, _ = engine.infer(path, x)            # warm scratch at batch 4
     # Swap in a retrained same-architecture model; the engine drops and
     # reloads the model, so the plan cache entry's weakref dies.
     hot_swap_model(_mlp(seed=9), path, engines=(engine,))
@@ -361,7 +361,7 @@ def test_engine_adopts_scratch_across_real_hot_swap(tmp_path):
     for step in new_plan._steps:
         keys.update(step._bufs.keys())
     assert 4 in keys, "retired plan's scratch was not adopted"
-    second = engine.infer(path, x)
+    second, _ = engine.infer(path, x)
     assert np.abs(second - first).max() > 0     # new weights served
     np.testing.assert_allclose(
         second, engine.cache.get(path).forward_compiled(x), rtol=1e-12)

@@ -423,5 +423,5 @@ def test_engine_profile_reports_per_step_timings(tmp_path):
     assert len(prof["steps"]) >= 2
     assert sum(s["seconds"] for s in prof["steps"]) \
         <= prof["total_seconds"] + 1e-9
-    np.testing.assert_allclose(prof["outputs"], engine.infer(path, x),
+    np.testing.assert_allclose(prof["outputs"], engine.infer(path, x)[0],
                                rtol=1e-6)

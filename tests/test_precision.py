@@ -173,11 +173,11 @@ def test_engine_infer_dtype_roundtrip(tmp_path):
     save_model(model, tmp_path / "m.rnm")
     engine = InferenceEngine()
     x = np.random.default_rng(3).standard_normal((32, 6))
-    y64 = engine.infer(tmp_path / "m.rnm", x)
-    assert engine.last_timing["dtype"] == "float64"
-    y32 = engine.infer(tmp_path / "m.rnm", x, dtype=np.float32)
+    y64, t64 = engine.infer(tmp_path / "m.rnm", x)
+    assert t64["dtype"] == "float64"
+    y32, t32 = engine.infer(tmp_path / "m.rnm", x, dtype=np.float32)
     assert y32.dtype == np.float32
-    assert engine.last_timing["dtype"] == "float32"
+    assert t32["dtype"] == "float32"
     assert np.abs(y32 - y64).max() < 1e-4
 
 
@@ -337,6 +337,20 @@ def _make_region(tmp_path, name, **kwargs):
     return region
 
 
+def served_dtypes(region) -> list:
+    """Spy on the region's engine: the plan dtype of every forward."""
+    seen = []
+    infer = region.engine.infer
+
+    def spy(*args, **kwargs):
+        outputs, timing = infer(*args, **kwargs)
+        seen.append(timing["dtype"])
+        return outputs, timing
+
+    region.engine.infer = spy
+    return seen
+
+
 def test_region_config_rejects_unknown_precision(tmp_path):
     with pytest.raises(ValueError):
         _make_region(tmp_path, "bad", precision="bfloat16")
@@ -344,10 +358,11 @@ def test_region_config_rejects_unknown_precision(tmp_path):
 
 def test_region_float32_serves_narrowed_plan(tmp_path):
     region = _make_region(tmp_path, "narrow", precision="float32")
+    served = served_dtypes(region)
     x = np.random.default_rng(6).random((32, 2))
     y = np.zeros(32)
     region(x, y, 32, flag=True)
-    assert region.engine.last_timing["dtype"] == "float32"
+    assert served == ["float32"]
     # Committed app outputs stay float64 (scatter into the app array).
     assert y.dtype == np.float64
     np.testing.assert_allclose(y, x.sum(axis=1), rtol=1e-5)
@@ -384,21 +399,23 @@ def test_region_auto_demotes_to_f64_on_breach(tmp_path):
     pol = PrecisionPolicy(high=1e-30, sample_rate=1.0, warmup=1, seed=0)
     qos = QoSController(precision_policy=pol, shadow_rate=0.0)
     region = _make_region(tmp_path, "demote", precision="auto", qos=qos)
+    served = served_dtypes(region)
     x = np.random.default_rng(8).random((8, 2))
     y = np.zeros(8)
     region(x, y, 8, flag=True)              # sampled, tripped
     assert pol.tripped("demote")
     region(x, y, 8, flag=True)              # demoted: wide plan serves
-    assert region.engine.last_timing["dtype"] == "float64"
+    assert served[-1] == "float64"
     region.close()
 
 
 def test_region_default_path_untouched(tmp_path):
     region = _make_region(tmp_path, "plain")
+    served = served_dtypes(region)
     x = np.ones((8, 2))
     y = np.zeros(8)
     region(x, y, 8, flag=True)
-    assert region.engine.last_timing["dtype"] == "float64"
+    assert served == ["float64"]
     region.close()
 
 

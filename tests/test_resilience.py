@@ -334,7 +334,7 @@ def test_hot_swap_corrupt_candidate_rolls_back(tmp_path):
     save_model(_linear_model(1.0), path)
     engine = InferenceEngine()
     x = np.ones((2, 2))
-    np.testing.assert_allclose(engine.infer(path, x).ravel(), [2.0, 2.0])
+    np.testing.assert_allclose(engine.infer(path, x)[0].ravel(), [2.0, 2.0])
 
     injector = FaultInjector()
     injector.script(HOT_SWAP, "truncate", at=[0], keep=0.6)
@@ -343,11 +343,12 @@ def test_hot_swap_corrupt_candidate_rolls_back(tmp_path):
             hot_swap_model(_linear_model(10.0), path, engines=[engine])
     # Rollback: deployed model intact, no temp litter, engine unchanged.
     assert not path.with_name(path.name + ".swap").exists()
-    np.testing.assert_allclose(engine.infer(path, x).ravel(), [2.0, 2.0])
+    np.testing.assert_allclose(engine.infer(path, x)[0].ravel(), [2.0, 2.0])
 
     # Without the fault the same swap goes through.
     hot_swap_model(_linear_model(10.0), path, engines=[engine])
-    np.testing.assert_allclose(engine.infer(path, x).ravel(), [20.0, 20.0])
+    np.testing.assert_allclose(engine.infer(path, x)[0].ravel(),
+                               [20.0, 20.0])
 
 
 def test_hot_swap_rejects_non_finite_candidate(tmp_path):

@@ -10,7 +10,8 @@ from repro.nn import Linear, Sequential, save_model
 from repro.runtime import (ApproxRegion, BatchedInferenceEngine,
                            DataCollector, EventLog, ExecutionPath,
                            InferenceEngine, ModelCache, Phase,
-                           decide_path, eval_condition, load_training_data)
+                           RegionConfig, decide_path, eval_condition,
+                           load_training_data)
 
 # ----------------------------------------------------------------------
 # EventLog
@@ -275,11 +276,58 @@ def test_engine_roundtrip(tmp_path):
     save_model(model, path)
     engine = InferenceEngine()
     x = np.random.default_rng(0).normal(size=(5, 3))
-    out = engine.infer(path, x)
+    out, _ = engine.infer(path, x)
     model.eval()
     np.testing.assert_allclose(out, model(x).numpy(), atol=1e-12)
     assert engine.device.bytes_to_device > 0
     assert engine.device.bytes_to_host > 0
+
+
+def test_shared_engine_threads_record_their_own_inference_time(
+        tmp_path, monkeypatch):
+    """Two threads share one engine (one model each, so no plan scratch
+    is shared); both forwards finish before either region reads its
+    timing.  Each record's INFERENCE phase must be its own thread's."""
+    import threading
+
+    from repro.device import Device
+    from repro.resilience import faults
+
+    engine = InferenceEngine()
+    regions = []
+    for i in range(2):
+        path = tmp_path / f"m{i}.rnm"
+        save_model(Sequential(Linear(2, 1)), path)
+        src = GOOD.replace('model("m.rnm")', f'model("{path}")')
+        regions.append(ApproxRegion(lambda x, y, N, flag=False: None, src,
+                                    name=f"r{i}",
+                                    config=RegionConfig(engine=engine)))
+    seconds = {"t0": 1.0, "t1": 2.0}
+    monkeypatch.setattr(Device, "dense_time",
+                        lambda self, wall:
+                        seconds[threading.current_thread().name])
+    barrier = threading.Barrier(2)
+    fire = faults.fire
+
+    def fire_after_both_forwards(seam, **context):
+        if seam == faults.SURROGATE:
+            barrier.wait(timeout=10)
+        return fire(seam, **context)
+
+    monkeypatch.setattr(faults, "fire", fire_after_both_forwards)
+    x = np.ones((3, 2))
+    threads = [threading.Thread(
+        target=regions[i], name=f"t{i}",
+        args=(x, np.zeros(3), 3), kwargs={"flag": True})
+        for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    for i, region in enumerate(regions):
+        (record,) = region.events.records
+        assert record.times[Phase.INFERENCE] == seconds[f"t{i}"]
 
 
 # ----------------------------------------------------------------------

@@ -441,13 +441,14 @@ def test_hot_swap_model_replaces_file_and_refreshes_engine(tmp_path):
     from repro.runtime import InferenceEngine
     engine = InferenceEngine()
     x = np.ones((2, 2))
-    np.testing.assert_allclose(engine.infer(path, x).ravel(), [2.0, 2.0])
+    np.testing.assert_allclose(engine.infer(path, x)[0].ravel(), [2.0, 2.0])
 
     model_b = Sequential(Linear(2, 1, rng=np.random.default_rng(0)))
     model_b[0].weight.data = np.array([[10.0, 10.0]])
     model_b[0].bias.data = np.array([0.0])
     hot_swap_model(model_b, path, engines=[engine])
-    np.testing.assert_allclose(engine.infer(path, x).ravel(), [20.0, 20.0])
+    np.testing.assert_allclose(engine.infer(path, x)[0].ravel(),
+                               [20.0, 20.0])
     assert not path.with_name(path.name + ".swap").exists()
 
 
@@ -479,7 +480,7 @@ def test_hot_swap_race_never_serves_torn_model(tmp_path):
     def hammer(engine):
         try:
             while not stop.is_set():
-                out = engine.infer(path, x).ravel()
+                out = engine.infer(path, x)[0].ravel()
                 if not (np.allclose(out, 2.0) or np.allclose(out, 20.0)):
                     bad.append(("torn", out.copy()))
                     return
